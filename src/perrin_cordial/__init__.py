@@ -70,6 +70,7 @@ from .oracle import (
     decide_bipartite,
     decide_bistar_full,
     decide_exhaustive,
+    decide_parity,
 )
 from .perrin import (
     Parity,

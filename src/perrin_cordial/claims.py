@@ -27,6 +27,7 @@ from .oracle import (
     decide_bipartite,
     decide_bistar_full,
     decide_exhaustive,
+    decide_parity,
 )
 
 KN_CLAIMED = frozenset({1, 2, 3, 4, 6, 36, 49, 62, 64, 66, 79, 81, 83})
@@ -151,7 +152,9 @@ def _tool_verdict(
 ) -> tuple[Optional[bool], str, PerrinLabeling | None]:
     """(verdict, decider, witness) from the strongest applicable decider.
 
-    A successful constructor run proves feasibility (it is verifier
+    The decider is one of "analytic", "parity", "exhaustive",
+    "constructor" or "none".  The degree-parity certificate applies at any
+    size.  A successful constructor run proves feasibility (it is verifier
     gated), but a constructor failure proves nothing, so rows beyond the
     exhaustive cap in a non-analytic family come back undecided unless
     construction succeeds.
@@ -169,6 +172,8 @@ def _tool_verdict(
         v = decide_bistar_full(*params, want_witness=cfg.want_witness)
         return v.feasible, "analytic", v.witness
     g = generate(FamilySpec(family, params))
+    if decide_parity(g) is not None:
+        return False, "parity", None
     if g.vertex_count <= cfg.max_vertices:
         v = decide_exhaustive(g, cfg)
         return v.feasible, "exhaustive", v.witness

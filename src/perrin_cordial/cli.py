@@ -17,7 +17,7 @@ from .construct import Infeasible, construct
 from .graph_io import FormatError, export_dot, read_graph, read_labeling, write_graph, write_labeling
 from .graphs import FamilyParameterError, FamilySpec, generate
 from .labeling import is_cordial, is_valid, tally, to_parity
-from .oracle import GraphTooLargeError, SearchConfig, decide_exhaustive
+from .oracle import GraphTooLargeError, SearchConfig, decide_exhaustive, decide_parity
 from .perrin import Parity, perrin_parity, perrin_value
 
 _FAMILY_ALIASES = {
@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
 def cmd_decide(args) -> int:
     g = read_graph(_read(args.graph))
     cfg = SearchConfig(max_vertices=args.max_n, parallel=args.parallel, want_witness=args.witness)
-    verdict = decide_exhaustive(g, cfg)
+    verdict = decide_parity(g) or decide_exhaustive(g, cfg)
     if verdict.feasible:
         print(f"feasible\tsearched={verdict.searched}")
         if args.witness and verdict.witness is not None:
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", required=True, metavar="FILE")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("decide", help="exhaustively decide feasibility of a graph")
+    p = sub.add_parser("decide", help="decide feasibility: parity certificate, then exhaustive search")
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--max-n", type=int, default=24, metavar="K")
     p.add_argument("--witness", action="store_true")

@@ -1,4 +1,4 @@
-"""Feasibility deciders: exhaustive parity search plus analytic shortcuts.
+"""Feasibility deciders: exhaustive parity search plus cheap shortcuts.
 
 The exhaustive decider searches even-vertex sets S rather than labelings:
 the imbalance of any pattern equals |E| - 2*cut(S), and index availability
@@ -6,6 +6,14 @@ confines |S| to {even_count(|V|) - 1, even_count(|V|)}.  That collapses a
 factorial search space to at most two binomial coefficients.  Enumeration
 is depth-first in ascending vertex order (sizes ascending first), so the
 reported witness is the first feasible set in that documented order.
+decide_exhaustive always enumerates in full, so it stays an independent
+check on every shortcut below.
+
+The degree-parity certificate (decide_parity) proves infeasibility without
+search: cut(S) is congruent to the number of odd-degree vertices in S
+(mod 2), so when every degree is even each cut is even, while a graph with
+|E| = 2 (mod 4) needs the odd cut |E|/2.  It reads degrees from the edges
+only, in O(|V| + |E|).
 
 Bipartite graphs and bistars are count-determined, so they get analytic
 deciders with the same Verdict contract.
@@ -74,14 +82,25 @@ def _search_size(
 
     def rec(start: int, chosen: list[int], mask: int, degsum: int, within: int) -> bool:
         nonlocal examined, hit
-        if len(chosen) == k:
+        remaining = k - len(chosen)
+        if remaining == 0:
             examined += 1
             cut = degsum - 2 * within
             if abs(edge_total - 2 * cut) <= 1:
                 hit = tuple(chosen)
                 return True
             return False
-        remaining = k - len(chosen)
+        if remaining == 1:
+            # last vertex: one leaf per v, scanned inline instead of recursing
+            base = degsum - 2 * within
+            for v in range(start, n):
+                cut = base + deg[v] - 2 * (adj[v] & mask).bit_count()
+                if abs(edge_total - 2 * cut) <= 1:
+                    examined += v - start + 1
+                    hit = (*chosen, v)
+                    return True
+            examined += n - start
+            return False
         for v in range(start, n - remaining + 1):
             gained = (adj[v] & mask).bit_count()
             chosen.append(v)
@@ -98,6 +117,25 @@ def _search_size(
     else:
         rec(1, [], 0, 0, 0)
     return hit, examined
+
+
+def decide_parity(g: Graph) -> Verdict | None:
+    """Infeasible when every degree is even and |E| = 2 (mod 4), else None."""
+    m = g.edge_count
+    if m % 4 != 2:
+        return None
+    deg = [0] * g.vertex_count
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    if any(d % 2 for d in deg):
+        return None
+    return Verdict(
+        feasible=False,
+        searched=0,
+        reason=f"degree-parity certificate: every degree is even, so every cut is even, "
+        f"but |E| = {m} needs the odd cut {m // 2}",
+    )
 
 
 def decide_exhaustive(g: Graph, cfg: SearchConfig = SearchConfig()) -> Verdict:

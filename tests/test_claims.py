@@ -69,9 +69,12 @@ def test_sweep_cycles_all_agree():
     rows = sweep(claim_for("cycle"), [(n,) for n in range(3, 21)])
     assert len(rows) == 18
     assert all(r.agree is True for r in rows)
-    assert all(r.decider == "exhaustive" for r in rows)
     infeasible = {r.params[0] for r in rows if r.tool_verdict is False}
     assert infeasible == {6, 10, 14, 18}
+    # the degree-parity certificate proves the n = 2 (mod 4) rows
+    assert {r.params[0] for r in rows if r.decider == "parity"} == {6, 10, 14, 18}
+    exhaustive = {r.params[0] for r in rows if r.decider == "exhaustive"}
+    assert exhaustive == set(range(3, 21)) - {6, 10, 14, 18}
 
 
 def test_sweep_complete_flags_the_gap():
@@ -135,8 +138,13 @@ def test_sweep_beyond_cap_uses_constructor_for_feasibility_only():
     (row,) = rows
     assert row.decider == "constructor"
     assert row.tool_verdict is True
+    # the degree-parity certificate needs no cap
+    (row,) = sweep(claim_for("cycle"), [(10,)], cfg)
+    assert row.decider == "parity"
+    assert row.tool_verdict is False
+    assert row.agree is True
     # constructor failure proves nothing: the row stays undecided
-    rows = sweep(claim_for("cycle"), [(10,)], cfg)
+    rows = sweep(claim_for("jellyfish"), [(0, 39)], cfg)
     (row,) = rows
     assert row.decider == "none"
     assert row.tool_verdict is None
@@ -148,7 +156,7 @@ def test_csv_rendering():
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert lines[1] == "cycle,6,false,false,exhaustive,true,"
+    assert lines[1] == "cycle,6,false,false,parity,true,"
     assert lines[2] == "cycle,7,true,true,exhaustive,true,"
 
 
@@ -156,13 +164,24 @@ def test_markdown_rendering():
     rows = sweep(claim_for("cycle"), [(6,)])
     text = rows_to_markdown(rows)
     assert text.startswith("| family | params |")
-    assert "| cycle | 6 | false | false | exhaustive | true |" in text
+    assert "| cycle | 6 | false | false | parity | true |" in text
 
 
 def test_sweep_all_has_one_row_per_grid_point():
     total = sum(len(default_grid(c.family)) for c in builtin_claims())
     rows = sweep_all(SearchConfig(want_witness=False))
     assert len(rows) == total
+
+
+def test_sweep_all_parity_rows_are_the_mod4_rows():
+    rows = sweep_all(SearchConfig(want_witness=False))
+    parity = {(r.family, r.params) for r in rows if r.decider == "parity"}
+    assert parity == {
+        *(("cycle", (n,)) for n in (6, 10, 14, 18, 22)),
+        *(("triangular_snake", (n,)) for n in (2, 6, 10)),
+        *(("friendship", (n,)) for n in (2, 6, 10)),
+    }
+    assert all(r.tool_verdict is False and r.agree is True for r in rows if r.decider == "parity")
 
 
 def test_default_grids_within_decider_capability():

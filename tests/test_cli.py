@@ -116,6 +116,15 @@ def test_decide_exit_codes(tmp_path):
     assert "capped at 24" in r.stderr
 
 
+def test_decide_parity_certificate_needs_no_cap(tmp_path):
+    g = tmp_path / "g.json"
+    run_cli("gen", "cycle", "30", "--out", str(g))
+    r = run_cli("decide", "--graph", str(g))
+    assert r.returncode == 1
+    assert r.stdout.startswith("infeasible\tsearched=0\t")
+    assert "parity" in r.stdout
+
+
 def test_decide_witness_output(tmp_path):
     g = tmp_path / "g.json"
     w = tmp_path / "w.json"
@@ -154,7 +163,7 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("family,params,paper_verdict")
     assert len(lines) == 11
-    assert "cycle,6,false,false,exhaustive,true," in lines
+    assert "cycle,6,false,false,parity,true," in lines
 
 
 def test_sweep_markdown_and_witness_dir(tmp_path):

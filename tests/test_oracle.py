@@ -1,5 +1,6 @@
-"""Exhaustive decider and analytic deciders: verdicts, witnesses, agreement."""
+"""Exhaustive, parity and analytic deciders: verdicts, witnesses, agreement."""
 
+import itertools
 from math import comb
 
 import pytest
@@ -11,12 +12,15 @@ from perrin_cordial import (
     FamilySpec,
     Graph,
     GraphTooLargeError,
+    Parity,
     SearchConfig,
     construct_complete,
     decide_bipartite,
     decide_bistar_full,
     decide_exhaustive,
+    decide_parity,
     even_count,
+    feasible_even_counts,
     generate,
     is_cordial,
     is_valid,
@@ -179,3 +183,98 @@ def test_empty_and_single_vertex_graphs():
     assert v.feasible
     v = decide_exhaustive(Graph(1, ()))
     assert v.feasible and v.witness.assignment in ({0: 1}, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("cycle", (6,)),
+        ("cycle", (10,)),
+        ("cycle", (22,)),
+        ("triangular_snake", (6,)),
+        ("friendship", (10,)),
+        ("complete", (5,)),
+    ],
+)
+def test_parity_certificate_fires(family, params):
+    v = decide_parity(generate(FamilySpec(family, params)))
+    assert v is not None
+    assert not v.feasible
+    assert v.witness is None
+    assert v.searched == 0
+    assert "parity" in v.reason
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("cycle", (7,)), ("wheel", (8,)), ("path", (6,)), ("complete", (4,))],
+)
+def test_parity_certificate_silent(family, params):
+    assert decide_parity(generate(FamilySpec(family, params))) is None
+
+
+def test_parity_certificate_ignores_family_field():
+    # a 6-cycle that claims to be a path is still proven infeasible
+    c6 = generate(FamilySpec("cycle", (6,)))
+    g = Graph(6, c6.edges, family=FamilySpec("path", (6,)))
+    assert decide_parity(g) is not None
+
+
+@st.composite
+def _often_even_graphs(draw):
+    """Random graphs, half of them made even-degree by toggling edges between odd vertices."""
+    g = draw(graphs(max_n=12))
+    if not draw(st.booleans()):
+        return g
+    edges = set(g.edges)
+    deg = [0] * g.vertex_count
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    odd = [v for v in range(g.vertex_count) if deg[v] % 2]
+    for u, v in zip(odd[::2], odd[1::2]):
+        edges ^= {(u, v)}
+    return Graph(g.vertex_count, tuple(edges))
+
+
+@given(_often_even_graphs())
+@settings(max_examples=150, deadline=None)
+def test_parity_certificate_agrees_with_exhaustive(g):
+    v = decide_parity(g)
+    degrees = [0] * g.vertex_count
+    for a, b in g.edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    expected = all(d % 2 == 0 for d in degrees) and g.edge_count % 4 == 2
+    assert (v is not None) == expected
+    if v is not None:
+        assert not decide_exhaustive(g).feasible
+
+
+def _balanced(g, even_set):
+    cut = sum((a in even_set) != (b in even_set) for a, b in g.edges)
+    return abs(g.edge_count - 2 * cut) <= 1
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_searched_is_position_in_combinations_order(g):
+    # sizes ascending, each in itertools.combinations order: the witness
+    # set's 1-based position, after every set of the smaller sizes
+    n = g.vertex_count
+    expected, witness_set = 0, None
+    for k in feasible_even_counts(n):
+        for pos, s in enumerate(itertools.combinations(range(n), k), start=1):
+            if _balanced(g, set(s)):
+                expected, witness_set = expected + pos, set(s)
+                break
+        else:
+            expected += comb(n, k)
+            continue
+        break
+    v = decide_exhaustive(g)
+    assert v.searched == expected
+    assert v.feasible == (witness_set is not None)
+    if v.feasible:
+        pattern = to_parity(v.witness)
+        assert {u for u in range(n) if pattern[u] is Parity.EVEN} == witness_set
