@@ -67,8 +67,6 @@ from .oracle import (
     GraphTooLargeError,
     SearchConfig,
     Verdict,
-    decide_bipartite,
-    decide_bistar_full,
     decide_exhaustive,
     decide_parity,
 )

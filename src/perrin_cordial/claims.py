@@ -19,16 +19,10 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .construct import CONSTRUCTORS, Constructed, construct_complete
+from .construct import CONSTRUCTORS, Constructed
 from .graphs import FamilySpec, generate
 from .labeling import PerrinLabeling
-from .oracle import (
-    SearchConfig,
-    decide_bipartite,
-    decide_bistar_full,
-    decide_exhaustive,
-    decide_parity,
-)
+from .oracle import SearchConfig, decide_exhaustive, decide_parity
 
 KN_CLAIMED = frozenset({1, 2, 3, 4, 6, 36, 49, 62, 64, 66, 79, 81, 83})
 BISTAR_CLAIMED_EXTRA = frozenset({28, 29, 30, 32, 36})
@@ -36,6 +30,10 @@ STAR_CLAIMED = frozenset(range(1, 33)) - {25}
 
 # bound on m+n for odd m, odd n, keyed by (m+n) mod 7; sufficient only
 ODD_ODD_BOUNDS = {0: 28, 1: 22, 2: 30, 3: 38, 4: 32, 5: 40, 6: 34}
+
+# families whose constructor scans every split of every admissible even
+# count, so its Infeasible is a proof
+ANALYTIC_FAMILIES = frozenset({"complete", "complete_bipartite", "star", "bistar"})
 
 
 @dataclass(frozen=True)
@@ -153,24 +151,17 @@ def _tool_verdict(
     """(verdict, decider, witness) from the strongest applicable decider.
 
     The decider is one of "analytic", "parity", "exhaustive",
-    "constructor" or "none".  The degree-parity certificate applies at any
-    size.  A successful constructor run proves feasibility (it is verifier
-    gated), but a constructor failure proves nothing, so rows beyond the
-    exhaustive cap in a non-analytic family come back undecided unless
-    construction succeeds.
+    "constructor" or "none".  An analytic family's constructor decides at
+    any size, and so does the degree-parity certificate.  Any other
+    successful constructor run proves feasibility (it is verifier gated),
+    but its failure proves nothing, so rows beyond the exhaustive cap in a
+    non-analytic family come back undecided unless construction succeeds.
     """
-    if family == "complete":
-        got = construct_complete(*params)
+    if family in ANALYTIC_FAMILIES:
+        got = CONSTRUCTORS[family](*params)
         if isinstance(got, Constructed):
-            return True, "analytic", got.labeling
+            return True, "analytic", got.labeling if cfg.want_witness else None
         return False, "analytic", None
-    if family in ("complete_bipartite", "star"):
-        m, n = (1, params[0]) if family == "star" else params
-        v = decide_bipartite(m, n, want_witness=cfg.want_witness)
-        return v.feasible, "analytic", v.witness
-    if family == "bistar":
-        v = decide_bistar_full(*params, want_witness=cfg.want_witness)
-        return v.feasible, "analytic", v.witness
     g = generate(FamilySpec(family, params))
     if decide_parity(g) is not None:
         return False, "parity", None

@@ -92,7 +92,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decide(args) -> int:
     g = read_graph(_read(args.graph))
-    cfg = SearchConfig(max_vertices=args.max_n, parallel=args.parallel, want_witness=args.witness)
+    cfg = SearchConfig(max_vertices=args.max_n, want_witness=args.witness)
     verdict = decide_parity(g) or decide_exhaustive(g, cfg)
     if verdict.feasible:
         print(f"feasible\tsearched={verdict.searched}")
@@ -183,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--max-n", type=int, default=24, metavar="K")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", metavar="FILE", help="where to write the witness labeling")
     p.set_defaults(func=cmd_decide)
 

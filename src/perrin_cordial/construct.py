@@ -216,15 +216,14 @@ def bipartite_block_pattern(m: int, n: int, p1: int, p2: int) -> ParityPattern:
     return (E,) * p1 + (O,) * (m - p1) + (E,) * p2 + (O,) * (n - p2)
 
 
-def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
-    """Cordial labeling of K_{m,n} via the product identity.
+def _bipartite_scan(g: Graph, m: int, n: int) -> Constructed | None:
+    """First (p1, p2) split of K_{m,n} meeting the product bound, realized on g.
 
     The block tally equals (m - 2*p1)(n - 2*p2) exactly, so the scan only
-    realizes a candidate that already satisfies the bound.
+    realizes a candidate that already satisfies the bound.  It covers every
+    split of every admissible even count, so None proves infeasibility.
     """
-    g = generate(FamilySpec("complete_bipartite", (m, n)))
-    sizes = feasible_even_counts(m + n)
-    for s in sizes:
+    for s in feasible_even_counts(m + n):
         for p1 in range(max(0, s - n), min(m, s) + 1):
             p2 = s - p1
             if abs((m - 2 * p1) * (n - 2 * p2)) <= 1:
@@ -235,25 +234,26 @@ def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
                         f"complete_bipartite({m},{n}): product identity violated"
                     )
                 return got
-    return Infeasible(
-        f"complete_bipartite({m},{n}): no (p1, p2) with p1+p2 in "
-        f"{sizes} gives |(m-2*p1)(n-2*p2)| <= 1"
-    )
+    return None
+
+
+def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
+    """Cordial labeling of K_{m,n} via the product identity."""
+    got = _bipartite_scan(generate(FamilySpec("complete_bipartite", (m, n))), m, n)
+    if got is None:
+        return Infeasible(
+            f"complete_bipartite({m},{n}): no (p1, p2) with p1+p2 in "
+            f"{feasible_even_counts(m + n)} gives |(m-2*p1)(n-2*p2)| <= 1"
+        )
+    return got
 
 
 def construct_star(n: int) -> Constructed | Infeasible:
-    """Star on n leaves, built as K_{1,n}."""
-    g = generate(FamilySpec("star", (n,)))
-    sizes = feasible_even_counts(1 + n)
-    for s in sizes:
-        for p1 in (0, 1):
-            p2 = s - p1
-            if 0 <= p2 <= n and abs((1 - 2 * p1) * (n - 2 * p2)) <= 1:
-                scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, 1 + n))
-                got = _first_cordial(g, [(scheme, bipartite_block_pattern(1, n, p1, p2))])
-                if got is not None:
-                    return got
-    return Infeasible(f"star({n}): no admissible leaf split")
+    """Star on n leaves, numbered as K_{1,n} and scanned the same way."""
+    got = _bipartite_scan(generate(FamilySpec("star", (n,))), 1, n)
+    if got is None:
+        return Infeasible(f"star({n}): no admissible leaf split")
+    return got
 
 
 # ---------------------------------------------------------------- wheels

@@ -135,17 +135,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> list[int]:
-        if not (0 <= v < self.vertex_count):
-            raise UnknownVertexError(f"vertex {v} not in graph")
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
 
 def _path_edges(n):
     return [(i, i + 1) for i in range(n - 1)]

@@ -5,8 +5,10 @@ with every later term the sum of the terms two and three places back.
 Indexing is fixed to this convention; the classical offset (3, 0, 2, ...)
 is deliberately not offered, to avoid silent off-by-one drift.
 
-Only parities ever reach the edge-labeling machinery, so parity queries
-run on a separate mod-2 memo and never materialize the big integers.
+Only parities ever reach the edge-labeling machinery.  Mod 2 the
+recurrence is driven by x^3 + x + 1, which is primitive over GF(2), so
+from index 1 the parity has period 7 and is read from a 7-entry table in
+O(1), never from the big integers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import enum
 import threading
 
 _SEEDS = (0, 3, 0, 2)
+# parity of the term at index i >= 1, by i % 7; index 0 is even
+_PARITY_MOD7 = (1, 1, 0, 0, 1, 0, 1)
+# offsets r in 1..7 of the even / odd terms b + r of each period b = 0, 7, 14, ...
+_EVEN_OFFSETS = tuple(r for r in range(1, 8) if not _PARITY_MOD7[r % 7])
+_ODD_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7])
 
 
 class Parity(enum.Enum):
@@ -29,8 +36,13 @@ class Parity(enum.Enum):
         return Parity(1 - self.value)
 
 
+def _check_index(i: int, what: str = "sequence index") -> None:
+    if i < 0:
+        raise ValueError(f"{what} must be >= 0, got {i}")
+
+
 class PerrinSequence:
-    """Memoized sequence values and parities, indexed from 0.
+    """Memoized sequence values indexed from 0, plus the scan oracle's parities.
 
     Extension of the memo tables is lock-protected, so a shared instance
     behaves as a pure function under concurrent readers.
@@ -38,48 +50,31 @@ class PerrinSequence:
 
     def __init__(self) -> None:
         self._values = list(_SEEDS)
-        self._parities = [v % 2 for v in _SEEDS]
+        # parities grown by the mod-2 recurrence, independent of the table
+        self._scan_parities = bytearray(v % 2 for v in _SEEDS)
         self._lock = threading.Lock()
 
-    def _grow_values(self, i: int) -> None:
-        with self._lock:
-            vals = self._values
-            while len(vals) <= i:
-                vals.append(vals[-2] + vals[-3])
-
-    def _grow_parities(self, i: int) -> None:
-        with self._lock:
-            pars = self._parities
-            while len(pars) <= i:
-                pars.append((pars[-2] + pars[-3]) % 2)
-
     def value(self, i: int) -> int:
-        if i < 0:
-            raise ValueError(f"sequence index must be >= 0, got {i}")
+        _check_index(i)
         if i >= len(self._values):
-            self._grow_values(i)
+            with self._lock:
+                vals = self._values
+                while len(vals) <= i:
+                    vals.append(vals[-2] + vals[-3])
         return self._values[i]
 
     def parity(self, i: int) -> Parity:
-        if i < 0:
-            raise ValueError(f"sequence index must be >= 0, got {i}")
-        if i >= len(self._parities):
-            self._grow_parities(i)
-        return Parity(self._parities[i])
+        return perrin_parity(i)
 
     def even_count_scan(self, n: int) -> int:
         """Count even terms among indices 0..n by direct parity scan."""
-        if n < 0:
-            raise ValueError(f"count bound must be >= 0, got {n}")
-        self.parity(n)
-        return self._parities[: n + 1].count(0)
-
-    def even_indices(self, n: int) -> list[int]:
-        """Ascending list of indices i <= n whose term is even."""
-        if n < 0:
-            raise ValueError(f"count bound must be >= 0, got {n}")
-        self.parity(n)
-        return [i for i in range(n + 1) if self._parities[i] == 0]
+        _check_index(n, "count bound")
+        if n >= len(self._scan_parities):
+            with self._lock:
+                pars = self._scan_parities
+                while len(pars) <= n:
+                    pars.append(pars[-2] ^ pars[-3])
+        return self._scan_parities.count(0, 0, n + 1)
 
 
 _shared = PerrinSequence()
@@ -91,8 +86,9 @@ def perrin_value(i: int) -> int:
 
 
 def perrin_parity(i: int) -> Parity:
-    """Parity of the term at index i, computed without the big value."""
-    return _shared.parity(i)
+    """Parity of the term at index i, from the period-7 table."""
+    _check_index(i)
+    return Parity(_PARITY_MOD7[i % 7]) if i else Parity.EVEN
 
 
 def even_count(n: int) -> int:
@@ -101,8 +97,7 @@ def even_count(n: int) -> int:
     Piecewise on n = 7p + r: r in {0,1} -> 3p+1; r = 2 -> 3p+2;
     r in {3,4} -> 3p+3; r in {5,6} -> 3p+4.
     """
-    if n < 0:
-        raise ValueError(f"count bound must be >= 0, got {n}")
+    _check_index(n, "count bound")
     p, r = divmod(n, 7)
     if r <= 1:
         return 3 * p + 1
@@ -119,12 +114,12 @@ def even_count_scan(n: int) -> int:
 
 
 def even_indices(n: int) -> list[int]:
-    return _shared.even_indices(n)
+    """Ascending list of indices i <= n whose term is even."""
+    _check_index(n, "count bound")
+    return [0] + [b + r for b in range(0, n, 7) for r in _EVEN_OFFSETS if b + r <= n]
 
 
 def odd_indices(n: int) -> list[int]:
     """Ascending list of indices i <= n whose term is odd."""
-    if n < 0:
-        raise ValueError(f"count bound must be >= 0, got {n}")
-    _shared.parity(n)
-    return [i for i in range(n + 1) if _shared._parities[i] == 1]
+    _check_index(n, "count bound")
+    return [b + r for b in range(0, n, 7) for r in _ODD_OFFSETS if b + r <= n]

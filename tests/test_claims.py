@@ -124,6 +124,29 @@ def test_sweep_witnesses_verify():
         assert is_cordial(tally(g, to_parity(r.witness)))
 
 
+@pytest.mark.parametrize("family", ["bistar", "complete_bipartite"])
+def test_sweep_analytic_rows_carry_verified_witnesses(family):
+    rows = [r for r in sweep(claim_for(family)) if r.decider == "analytic"]
+    assert rows
+    for r in rows:
+        if not r.tool_verdict:
+            assert r.witness is None
+            continue
+        g = generate(FamilySpec(r.family, r.params))
+        assert is_valid(g, r.witness)
+        assert is_cordial(tally(g, to_parity(r.witness)))
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("complete", (6,)), ("complete_bipartite", (2, 2)), ("star", (3,)), ("bistar", (6, 6))],
+)
+def test_sweep_analytic_rows_drop_witness_on_request(family, params):
+    (row,) = sweep(claim_for(family), [params], SearchConfig(want_witness=False))
+    assert row.decider == "analytic"
+    assert row.tool_verdict is True and row.witness is None
+
+
 def test_sweep_odd_odd_rows_outside_table_are_unknown_not_false():
     rows = sweep(claim_for("complete_bipartite"), [(21, 21)])
     (row,) = rows

@@ -116,6 +116,14 @@ def test_decide_exit_codes(tmp_path):
     assert "capped at 24" in r.stderr
 
 
+def test_decide_has_no_parallel_flag(tmp_path):
+    g = tmp_path / "g.json"
+    run_cli("gen", "cycle", "8", "--out", str(g))
+    r = run_cli("decide", "--graph", str(g), "--parallel")
+    assert r.returncode == 2
+    assert "--parallel" in r.stderr
+
+
 def test_decide_parity_certificate_needs_no_cap(tmp_path):
     g = tmp_path / "g.json"
     run_cli("gen", "cycle", "30", "--out", str(g))

@@ -1,4 +1,4 @@
-"""Exhaustive, parity and analytic deciders: verdicts, witnesses, agreement."""
+"""Exhaustive and parity deciders: verdicts, witnesses, agreement with the count scans."""
 
 import itertools
 from math import comb
@@ -14,9 +14,10 @@ from perrin_cordial import (
     GraphTooLargeError,
     Parity,
     SearchConfig,
+    construct_bistar,
     construct_complete,
-    decide_bipartite,
-    decide_bistar_full,
+    construct_complete_bipartite,
+    construct_star,
     decide_exhaustive,
     decide_parity,
     even_count,
@@ -96,24 +97,14 @@ def test_verdict_invariant_under_relabeling(g, rnd):
     assert decide_exhaustive(g).feasible == decide_exhaustive(relabeled).feasible
 
 
-@pytest.mark.parametrize(
-    "family,params",
-    [("cycle", (7,)), ("cycle", (10,)), ("wheel", (8,)), ("jellyfish", (3, 2)), ("path", (1,))],
-)
-def test_parallel_mode_is_bit_identical(family, params):
-    g = generate(FamilySpec(family, params))
-    seq = decide_exhaustive(g, SearchConfig(parallel=False))
-    par = decide_exhaustive(g, SearchConfig(parallel=True))
-    assert seq.feasible == par.feasible
-    seq_w = seq.witness.assignment if seq.witness else None
-    par_w = par.witness.assignment if par.witness else None
-    assert seq_w == par_w
-
-
 def test_agreement_with_complete_analytic():
     for n in range(1, 14):
         analytic = isinstance(construct_complete(n), Constructed)
         assert _decide("complete", (n,)).feasible == analytic, n
+
+
+def _built(got):
+    return isinstance(got, Constructed)
 
 
 def test_agreement_with_bipartite_analytic():
@@ -121,7 +112,7 @@ def test_agreement_with_bipartite_analytic():
         for n in range(1, 14 - m):
             assert (
                 _decide("complete_bipartite", (m, n)).feasible
-                == decide_bipartite(m, n).feasible
+                == _built(construct_complete_bipartite(m, n))
             ), (m, n)
 
 
@@ -129,37 +120,38 @@ def test_agreement_with_bistar_full():
     for m in range(1, 11):
         for n in range(1, 12 - m):
             assert (
-                _decide("bistar", (m, n)).feasible == decide_bistar_full(m, n).feasible
+                _decide("bistar", (m, n)).feasible == _built(construct_bistar(m, n))
             ), (m, n)
 
 
 def test_bipartite_examples():
-    assert decide_bipartite(1, 1).feasible
-    assert decide_bipartite(4, 3).feasible
-    assert not decide_bipartite(28, 1).feasible
-    v = decide_bipartite(2, 2)
+    assert _built(construct_complete_bipartite(1, 1))
+    assert _built(construct_complete_bipartite(4, 3))
+    assert not _built(construct_complete_bipartite(28, 1))
+    got = construct_complete_bipartite(2, 2)
     g = generate(FamilySpec("complete_bipartite", (2, 2)))
-    assert is_valid(g, v.witness) and is_cordial(tally(g, to_parity(v.witness)))
+    assert is_valid(g, got.labeling) and is_cordial(tally(g, to_parity(got.labeling)))
 
 
 def test_star_twenty_five_is_feasible_despite_claim():
     # the claimed star list excludes 25, but the product-identity scan
     # finds an admissible split; the odd-by-odd bound (26 <= 40) agrees
-    assert decide_bipartite(1, 25).feasible
+    assert _built(construct_complete_bipartite(1, 25))
+    assert _built(construct_star(25))
 
 
 def test_bistar_full_examples():
-    assert decide_bistar_full(6, 6).feasible
-    assert decide_bistar_full(2, 1).feasible
-    v = decide_bistar_full(20, 20)  # sum 40, beyond the claimed bound
-    assert v.feasible
+    assert _built(construct_bistar(6, 6))
+    assert _built(construct_bistar(2, 1))
+    got = construct_bistar(20, 20)  # sum 40, beyond the claimed bound
+    assert _built(got)
     g = generate(FamilySpec("bistar", (20, 20)))
-    assert is_valid(g, v.witness) and is_cordial(tally(g, to_parity(v.witness)))
+    assert is_valid(g, got.labeling) and is_cordial(tally(g, to_parity(got.labeling)))
 
 
 def test_bistar_full_finds_mixed_apex_solutions():
     # sum 3 is unreachable with both apexes odd
-    assert decide_bistar_full(1, 2).feasible
+    assert _built(construct_bistar(1, 2))
     assert _decide("bistar", (1, 2)).feasible
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perrin_cordial import perrin as perrin_mod
 from perrin_cordial import (
     Parity,
     PerrinSequence,
@@ -108,6 +109,28 @@ def test_parity_avoids_big_values():
     assert seq.parity(5000) in (Parity.EVEN, Parity.ODD)
     # the big-value memo must not have been extended by parity queries
     assert len(seq._values) == 4
+
+
+def test_parity_matches_value_parity():
+    for i in range(2000):
+        assert perrin_parity(i).value == perrin_value(i) % 2, i
+
+
+def test_huge_parity_index_grows_no_memo():
+    shared = perrin_mod._shared
+    sizes = (len(shared._values), len(shared._scan_parities))
+    assert perrin_parity(10**18) is Parity.ODD  # 10**18 = 1 (mod 7)
+    assert (len(shared._values), len(shared._scan_parities)) == sizes
+    seq = PerrinSequence()
+    assert seq.parity(10**18) is perrin_parity(10**18)
+    assert len(seq._values) == 4 and len(seq._scan_parities) == 4
+
+
+def test_indices_match_value_parities():
+    parities = [perrin_value(i) % 2 for i in range(500)]
+    for n in range(500):
+        assert even_indices(n) == [i for i in range(n + 1) if parities[i] == 0], n
+        assert odd_indices(n) == [i for i in range(n + 1) if parities[i] == 1], n
 
 
 def test_concurrent_extension_is_consistent():
