@@ -170,7 +170,7 @@ def _tool_verdict(
         return v.feasible, "exhaustive", v.witness
     got = CONSTRUCTORS[family](*params)
     if isinstance(got, Constructed):
-        return True, "constructor", got.labeling
+        return True, "constructor", got.labeling if cfg.want_witness else None
     return None, "none", None
 
 
@@ -220,41 +220,27 @@ def format_params(params: tuple[int, ...]) -> str:
     return "x".join(str(p) for p in params)
 
 
+def _row_cells(r: ClaimCheckRow) -> list[str]:
+    return [
+        r.family,
+        format_params(r.params),
+        _cell(r.paper_verdict, "unknown"),
+        _cell(r.tool_verdict, "undecided"),
+        r.decider,
+        _cell(r.agree, ""),
+        r.witness_file,
+    ]
+
+
 def rows_to_csv(rows: list[ClaimCheckRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.family,
-                format_params(r.params),
-                _cell(r.paper_verdict, "unknown"),
-                _cell(r.tool_verdict, "undecided"),
-                r.decider,
-                _cell(r.agree, ""),
-                r.witness_file,
-            ]
-        )
+    writer.writerows(_row_cells(r) for r in rows)
     return buf.getvalue()
 
 
 def rows_to_markdown(rows: list[ClaimCheckRow]) -> str:
     lines = ["| " + " | ".join(CSV_COLUMNS) + " |", "|" + "---|" * len(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    r.family,
-                    format_params(r.params),
-                    _cell(r.paper_verdict, "unknown"),
-                    _cell(r.tool_verdict, "undecided"),
-                    r.decider,
-                    _cell(r.agree, ""),
-                    r.witness_file,
-                ]
-            )
-            + " |"
-        )
+    lines += ["| " + " | ".join(_row_cells(r)) + " |" for r in rows]
     return "\n".join(lines) + "\n"

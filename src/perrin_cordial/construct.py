@@ -1,22 +1,31 @@
 """Cordial-labeling constructors for the ten graph families.
 
-Each constructor instantiates a block-structured parity scheme for its
-family, trying a small pinned parameter choice first (where the family's
-feasibility argument fixes one) and then scanning the scheme's parameter
-range.  Closed-form imbalance formulas are treated as heuristics only:
-every candidate is tallied over the real edge set, and a result is
-returned only once it passes the cordiality gate.
+Path, cycle, wheel, snake and friendship constructors instantiate a
+block-structured parity scheme: a pinned parameter choice first, where the
+family's feasibility argument fixes one, then the scheme's range.  Their
+closed-form imbalances are heuristics only; a candidate must pass the real
+edge tally.  Their n = 2 (mod 4) shapes are proven infeasible by the
+degree-parity certificate (oracle.decide_parity).
 
-Scan order is deterministic and documented per family, so constructions
-reproduce byte-for-byte.  The available even-vertex budget is always one
-of {even_count(|V|) - 1, even_count(|V|)} ("skip" one even or one odd
-index); both choices are tried even where a formula fixes one.
+Complete, complete bipartite, star, bistar and jellyfish graphs declare a
+class quotient instead: classes of vertices with the same neighbours
+outside the class, each a clique or edgeless, and the fully joined class
+pairs.  Vertices within a class are exchangeable, so one scan over the
+even count of each class decides them (_class_scan).  It tries the
+parities of the leading single-vertex classes (preferred choices, then
+binary counting), then each admissible even total ascending, then each
+split of the remaining evens, lower classes filled first.  It covers every
+count vector, so its Infeasible is a proof; a formula hit that fails the
+tally gate means the quotient is wrong and raises SchemeExhaustedError.
+
+Scans are deterministic, so constructions reproduce byte-for-byte; both
+even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import cache
 
 from .graphs import FamilySpec, Graph, generate
 from .labeling import (
@@ -28,6 +37,7 @@ from .labeling import (
     realize,
     tally,
 )
+from .oracle import decide_parity
 from .perrin import Parity, even_count
 
 E, O = Parity.EVEN, Parity.ODD
@@ -69,13 +79,28 @@ def _skip_of(s: int, vertex_count: int) -> Parity:
     return O if s == even_count(vertex_count) else E
 
 
-def _first_cordial(g: Graph, candidates) -> Constructed | None:
-    """Return the first candidate whose real edge tally is cordial."""
+def _name(spec: FamilySpec) -> str:
+    return f"{spec.name}({','.join(map(str, spec.params))})"
+
+
+def _first_cordial(g: Graph, candidates) -> Constructed:
+    """The first candidate whose real edge tally is cordial.
+
+    Every caller's candidates are proven to include a cordial one, so
+    running out means the scheme (or a declared class quotient) is wrong.
+    """
     for scheme, pattern in candidates:
         t = tally(g, pattern)
         if is_cordial(t):
             return Constructed(labeling=realize(g, pattern), scheme=scheme, tally=t)
-    return None
+    where = _name(g.family) if g.family else f"graph on {g.vertex_count} vertices"
+    raise SchemeExhaustedError(f"{where}: no scheme candidate passes the tally gate")
+
+
+def _parity_or_first(g: Graph, candidates) -> Constructed | Infeasible:
+    """Infeasible by the degree-parity certificate, else the first cordial candidate."""
+    proof = decide_parity(g)
+    return _first_cordial(g, candidates) if proof is None else Infeasible(proof.reason)
 
 
 def _alt(p2: int) -> tuple[Parity, ...]:
@@ -126,11 +151,7 @@ def _path_candidates(n: int):
 
 def construct_path(n: int) -> Constructed:
     """Cordial labeling of the n-vertex path; always succeeds."""
-    g = generate(FamilySpec("path", (n,)))
-    got = _first_cordial(g, _path_candidates(n))
-    if got is None:
-        raise SchemeExhaustedError(f"path({n}): scheme scan exhausted")
-    return got
+    return _first_cordial(generate(FamilySpec("path", (n,))), _path_candidates(n))
 
 
 # ---------------------------------------------------------------- cycles
@@ -162,98 +183,7 @@ def _cycle_candidates(n: int):
 
 def construct_cycle(n: int) -> Constructed | Infeasible:
     """Cordial labeling of the n-cycle, or Infeasible when n = 2 (mod 4)."""
-    g = generate(FamilySpec("cycle", (n,)))
-    if n % 4 == 2:
-        return Infeasible(
-            f"cycle({n}): e1 is even on any cycle, so epsilon = n (mod 4) = 2; "
-            "no labeling reaches |epsilon| <= 1"
-        )
-    got = _first_cordial(g, _cycle_candidates(n))
-    if got is None:
-        raise SchemeExhaustedError(f"cycle({n}): scheme scan exhausted")
-    return got
-
-
-# ---------------------------------------------------------------- complete
-
-
-def complete_split_imbalance(a: int, b: int) -> int:
-    """Imbalance of K_(a+b) with a even-labeled and b odd-labeled vertices."""
-    return comb(a, 2) + comb(b, 2) - a * b
-
-
-def construct_complete(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of K_n; the verdict depends only on counts.
-
-    The two admissible splits (skip an even index, or skip an odd one)
-    are checked in that order; any vertex split realizes the winner.
-    """
-    g = generate(FamilySpec("complete", (n,)))
-    ec = even_count(n)
-    tried = []
-    for a, skip in ((ec - 1, E), (ec, O)):
-        b = n - a
-        if a < 0 or b < 0:
-            continue
-        eps = complete_split_imbalance(a, b)
-        tried.append((a, b, eps))
-        if abs(eps) <= 1:
-            pattern = (E,) * a + (O,) * b
-            scheme = SchemeParams(p1=a, p2=b, skip=skip, variant="count-split")
-            got = _first_cordial(g, [(scheme, pattern)])
-            if got is None:
-                raise SchemeExhaustedError(f"complete({n}): analytic split failed the gate")
-            return got
-    detail = "; ".join(f"(evens={a}, odds={b}) -> epsilon={e}" for a, b, e in tried)
-    return Infeasible(f"complete({n}): both index splits miss |epsilon| <= 1: {detail}")
-
-
-# ------------------------------------------------- complete bipartite
-
-
-def bipartite_block_pattern(m: int, n: int, p1: int, p2: int) -> ParityPattern:
-    """p1 even labels on the m-side, p2 on the n-side, rest odd."""
-    return (E,) * p1 + (O,) * (m - p1) + (E,) * p2 + (O,) * (n - p2)
-
-
-def _bipartite_scan(g: Graph, m: int, n: int) -> Constructed | None:
-    """First (p1, p2) split of K_{m,n} meeting the product bound, realized on g.
-
-    The block tally equals (m - 2*p1)(n - 2*p2) exactly, so the scan only
-    realizes a candidate that already satisfies the bound.  It covers every
-    split of every admissible even count, so None proves infeasibility.
-    """
-    for s in feasible_even_counts(m + n):
-        for p1 in range(max(0, s - n), min(m, s) + 1):
-            p2 = s - p1
-            if abs((m - 2 * p1) * (n - 2 * p2)) <= 1:
-                scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, m + n))
-                got = _first_cordial(g, [(scheme, bipartite_block_pattern(m, n, p1, p2))])
-                if got is None:
-                    raise SchemeExhaustedError(
-                        f"complete_bipartite({m},{n}): product identity violated"
-                    )
-                return got
-    return None
-
-
-def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
-    """Cordial labeling of K_{m,n} via the product identity."""
-    got = _bipartite_scan(generate(FamilySpec("complete_bipartite", (m, n))), m, n)
-    if got is None:
-        return Infeasible(
-            f"complete_bipartite({m},{n}): no (p1, p2) with p1+p2 in "
-            f"{feasible_even_counts(m + n)} gives |(m-2*p1)(n-2*p2)| <= 1"
-        )
-    return got
-
-
-def construct_star(n: int) -> Constructed | Infeasible:
-    """Star on n leaves, numbered as K_{1,n} and scanned the same way."""
-    got = _bipartite_scan(generate(FamilySpec("star", (n,))), 1, n)
-    if got is None:
-        return Infeasible(f"star({n}): no admissible leaf split")
-    return got
+    return _parity_or_first(generate(FamilySpec("cycle", (n,))), _cycle_candidates(n))
 
 
 # ---------------------------------------------------------------- wheels
@@ -286,11 +216,7 @@ def _wheel_candidates(n: int):
 
 def construct_wheel(n: int) -> Constructed:
     """Cordial labeling of the wheel with n rim vertices; always succeeds."""
-    g = generate(FamilySpec("wheel", (n,)))
-    got = _first_cordial(g, _wheel_candidates(n))
-    if got is None:
-        raise SchemeExhaustedError(f"wheel({n}): scheme scan exhausted")
-    return got
+    return _first_cordial(generate(FamilySpec("wheel", (n,))), _wheel_candidates(n))
 
 
 # ------------------------------------------------------ triangular snakes
@@ -340,17 +266,7 @@ def _snake_candidates(n: int):
 
 def construct_triangular_snake(n: int) -> Constructed | Infeasible:
     """Cordial labeling of TS_n, or Infeasible when n = 2 (mod 4)."""
-    g = generate(FamilySpec("triangular_snake", (n,)))
-    if n % 4 == 2:
-        return Infeasible(
-            f"triangular_snake({n}): all 3n edges lie on triangles and each "
-            "triangle carries an even number of odd edges, but cordiality "
-            "would need e1 = 3n/2, which is odd"
-        )
-    got = _first_cordial(g, _snake_candidates(n))
-    if got is None:
-        raise SchemeExhaustedError(f"triangular_snake({n}): scheme scan exhausted")
-    return got
+    return _parity_or_first(generate(FamilySpec("triangular_snake", (n,))), _snake_candidates(n))
 
 
 # ------------------------------------------------------------ friendship
@@ -396,152 +312,169 @@ def _friendship_candidates(n: int):
 
 def construct_friendship(n: int) -> Constructed | Infeasible:
     """Cordial labeling of F_n, or Infeasible when n = 2 (mod 4)."""
-    g = generate(FamilySpec("friendship", (n,)))
-    if n % 4 == 2:
-        return Infeasible(
-            f"friendship({n}): all 3n edges lie on blades and each blade "
-            "carries an even number of odd edges, but cordiality would "
-            "need e1 = 3n/2, which is odd"
-        )
-    got = _first_cordial(g, _friendship_candidates(n))
-    if got is None:
-        raise SchemeExhaustedError(f"friendship({n}): scheme scan exhausted")
-    return got
+    return _parity_or_first(generate(FamilySpec("friendship", (n,))), _friendship_candidates(n))
 
 
-# -------------------------------------------------------------- bistars
+# ------------------------------------------------------ twin-class scan
 
 
-def _bistar_pattern(m: int, n: int, apex_u: Parity, apex_v: Parity, p1: int, p2: int):
-    return (
-        (apex_u, apex_v)
-        + (E,) * p1
-        + (O,) * (m - p1)
-        + (E,) * p2
-        + (O,) * (n - p2)
+def _class_pattern(sizes, a) -> ParityPattern:
+    """Class i owns the next sizes[i] vertex ids; the first a[i] of them are even."""
+    pattern: ParityPattern = ()
+    for t, k in zip(sizes, a):
+        pattern += (E,) * k + (O,) * (t - k)
+    return pattern
+
+
+def _class_cut(sizes, cliques, joins, a) -> int:
+    """Odd edges when class i holds a[i] evens: clique classes and joined pairs."""
+    cut = sum([a[i] * (sizes[i] - a[i]) for i in cliques])
+    for i, j in joins:
+        cut += a[i] * (sizes[j] - a[j]) + a[j] * (sizes[i] - a[i])
+    return cut
+
+
+def _run(r: int, sizes) -> tuple:
+    """(first, n): the n splits _step(first, j) of r evens over one or two classes;
+    the first fills the lower class first and each step moves one even upwards."""
+    if len(sizes) == 1:
+        return (r,), int(0 <= r <= sizes[0])
+    hi = min(sizes[0], r)
+    return (hi, r - hi), max(0, hi - max(0, r - sizes[1]) + 1)
+
+
+def _step(fill, j: int):
+    return (*fill[:-2], fill[-2] - j, fill[-1] + j) if j else fill
+
+
+@cache
+def _single_parities(singles: int, preferred) -> tuple:
+    """Even counts of the single-vertex classes: preferred choices, then binary counting."""
+    binary = (tuple(i for i in range(singles) if bits >> i & 1) for bits in range(1 << singles))
+    choices = dict.fromkeys([*preferred, *binary])
+    return tuple(tuple(int(i in e) for i in range(singles)) for e in choices)
+
+
+def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0, preferred=()):
+    """First even-count vector of the declared quotient that balances spec's graph.
+
+    sizes lists `singles` single vertices, then one or two larger classes;
+    scheme(a, skip) names the winning count vector a.
+    """
+    # n and |E| come from the quotient; the graph is built only to gate a hit
+    n, total = sum(sizes), sum(sizes[i] * sizes[j] for i, j in joins)
+    total += sum(sizes[i] * (sizes[i] - 1) // 2 for i in cliques)
+    counts, multi = feasible_even_counts(n), sizes[singles:]
+    # eps is quadratic along a run: two cut values and its second difference dd
+    # (+4 per clique among the two run classes, -8 if they are joined) give the rest
+    p, q = len(sizes) - 2, len(sizes) - 1
+    dd = 4 * ((p in cliques) + (q in cliques)) - 8 * ((p, q) in joins or (q, p) in joins)
+    tried, misses = 0, []
+    for head in _single_parities(singles, preferred):
+        for s in counts:
+            first, length = _run(s - sum(head), multi)
+            e, d = total - 2 * _class_cut(sizes, cliques, joins, head + first), 0
+            for j in range(length):
+                if -1 <= e <= 1:
+                    a = head + _step(first, j)
+                    pick = (scheme(a, _skip_of(s, n)), _class_pattern(sizes, a))
+                    return _first_cordial(generate(spec), [pick])
+                misses.append(e)
+                if j == 0 and length > 1:
+                    d = total - 2 * _class_cut(sizes, cliques, joins, head + _step(first, 1)) - e
+                    if d == dd == 0:
+                        break  # eps is constant along this run, so the rest misses too
+                e, d = e + d, d + dd
+            tried += length
+    below = max((e for e in misses if e < 0), default=0)
+    above = min((e for e in misses if e > 0), default=0)
+    nearest = [f"epsilon={e}" for e in (below, above) if e]
+    return Infeasible(
+        f"{_name(spec)}: none of {tried} even-count vectors over classes {sizes} reaches "
+        f"|epsilon| <= 1 (nearest: {', '.join(nearest) or 'none'}); vertices within a class "
+        "are exchangeable, so no labeling does"
+    )
+
+
+def construct_complete(n: int) -> Constructed | Infeasible:
+    """Cordial labeling of K_n: one clique class, so only the even count matters."""
+    return _class_scan(
+        FamilySpec("complete", (n,)),
+        (n,),
+        lambda a, skip: SchemeParams(p1=a[0], p2=n - a[0], skip=skip, variant="count-split"),
+        cliques=(0,),
+    )
+
+
+def bipartite_block_pattern(m: int, n: int, p1: int, p2: int) -> ParityPattern:
+    """p1 even labels on the m-side, p2 on the n-side, rest odd."""
+    return _class_pattern((m, n), (p1, p2))
+
+
+def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
+    """Cordial labeling of K_{m,n}: two joined sides, imbalance (m-2*p1)(n-2*p2)."""
+    return _class_scan(
+        FamilySpec("complete_bipartite", (m, n)),
+        (m, n),
+        lambda a, skip: SchemeParams(p1=a[0], p2=a[1], skip=skip),
+        joins=((0, 1),),
+    )
+
+
+def construct_star(n: int) -> Constructed | Infeasible:
+    """Star on n leaves, numbered as K_{1,n}: the apex joined to one leaf class."""
+    return _class_scan(
+        FamilySpec("star", (n,)),
+        (1, n),
+        lambda a, skip: SchemeParams(p1=a[0], p2=a[1], skip=skip),
+        joins=((0, 1),),
+        singles=1,
     )
 
 
 def construct_bistar(m: int, n: int) -> Constructed | Infeasible:
     """Cordial labeling of the bistar B_{m,n}.
 
-    The both-apexes-odd scheme (imbalance m+n+1 - 2*(p1+p2)) is tried
-    first.  A handful of sizes it cannot reach (m+n = 3 is the smallest)
-    are still cordial with other apex parities, so the scan widens to the
-    remaining apex combinations before giving up; the scheme variant
-    records which one produced the labeling.
+    Both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
+    (m+n = 3 is the smallest) need other apex parities, which the scheme
+    variant records.
     """
-    g = generate(FamilySpec("bistar", (m, n)))
-    sizes = feasible_even_counts(m + n + 2)
-    for s in sizes:
-        if s <= m + n and abs(m + n + 1 - 2 * s) <= 1:
-            p1 = min(s, m)
-            p2 = s - p1
-            scheme = SchemeParams(
-                p1=p1, p2=p2, skip=_skip_of(s, m + n + 2), variant="both-apexes-odd"
-            )
-            got = _first_cordial(g, [(scheme, _bistar_pattern(m, n, O, O, p1, p2))])
-            if got is not None:
-                return got
-    for apex_u, apex_v in ((E, O), (O, E), (E, E)):
-        c = (apex_u is E) + (apex_v is E)
-        for s in sizes:
-            k = s - c
-            if k < 0 or k > m + n:
-                continue
-            for p1 in range(max(0, k - n), min(m, k) + 1):
-                p2 = k - p1
-                e1 = (1 if apex_u is not apex_v else 0)
-                e1 += p1 if apex_u is O else m - p1
-                e1 += p2 if apex_v is O else n - p2
-                if abs((m + n + 1) - 2 * e1) > 1:
-                    continue
-                names = tuple("even" if a is E else "odd" for a in (apex_u, apex_v))
-                scheme = SchemeParams(
-                    p1=p1,
-                    p2=p2,
-                    skip=_skip_of(s, m + n + 2),
-                    variant=f"apexes-{names[0]}-{names[1]}",
-                )
-                got = _first_cordial(
-                    g, [(scheme, _bistar_pattern(m, n, apex_u, apex_v, p1, p2))]
-                )
-                if got is not None:
-                    return got
-    return Infeasible(
-        f"bistar({m},{n}): no apex parities and pendant split reach |epsilon| <= 1"
+
+    def scheme(a, skip):
+        names = ("odd", "even")
+        variant = f"apexes-{names[a[0]]}-{names[a[1]]}" if any(a[:2]) else "both-apexes-odd"
+        return SchemeParams(p1=a[2], p2=a[3], skip=skip, variant=variant)
+
+    return _class_scan(
+        FamilySpec("bistar", (m, n)),
+        (1, 1, m, n),
+        scheme,
+        joins=((0, 1), (0, 2), (1, 3)),
+        singles=2,
     )
-
-
-# ------------------------------------------------------------- jellyfish
-
-_JELLY_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-
-
-def _jelly_combos():
-    # pinned schemes first: v1,v3 even, then its pendant-side mirror v2,v4,
-    # then the single-even schemes, then every remaining combination
-    pinned = [(0, 2), (1, 3), (0,), (1,), (2,), (3,)]
-    rest = [tuple(i for i in range(4) if bits >> i & 1) for bits in range(16)]
-    return pinned + [c for c in rest if c not in pinned]
-
-
-_JELLY_COMBOS = _jelly_combos()
-
-
-def _jellyfish_candidates(m1: int, m2: int):
-    sizes = feasible_even_counts(m1 + m2 + 4)
-    total_edges = m1 + m2 + 5
-    for combo in _JELLY_COMBOS:
-        b = [i in combo for i in range(4)]
-        internal_e1 = sum(1 for u, v in _JELLY_EDGES if b[u] != b[v])
-        for s in sizes:
-            ktot = s - len(combo)
-            if ktot < 0 or ktot > m1 + m2:
-                continue
-            for k2 in range(max(0, ktot - m1), min(m2, ktot) + 1):
-                k1 = ktot - k2
-                e1 = internal_e1
-                e1 += k1 if not b[2] else m1 - k1
-                e1 += k2 if not b[3] else m2 - k2
-                if abs(total_edges - 2 * e1) > 1:
-                    continue
-                pattern = [O] * (m1 + m2 + 4)
-                for i in combo:
-                    pattern[i] = E
-                for i in range(k1):
-                    pattern[4 + i] = E
-                for i in range(k2):
-                    pattern[4 + m1 + i] = E
-                names = ",".join(f"v{i + 1}" for i in combo) or "none"
-                scheme = SchemeParams(
-                    k1=k1,
-                    k2=k2,
-                    skip=_skip_of(s, m1 + m2 + 4),
-                    variant=f"internal-evens={names}",
-                )
-                yield scheme, tuple(pattern)
 
 
 def construct_jellyfish(m1: int, m2: int) -> Constructed | Infeasible:
     """Cordial labeling of J_{m1,m2}.
 
-    Pendants within a group are exchangeable, so scanning internal parity
-    combinations together with per-group even counts (k1, k2) covers the
-    whole pattern space up to symmetry.  Exhaustion of that scan is
-    therefore a proof of infeasibility, not a defect: it happens exactly
-    at a few degenerate shapes with one pendant group empty and the other
-    far larger than the even-index supply (the smallest is (0, 39)).
+    The pinned internal parities come first: v1,v3 even, its mirror v2,v4,
+    then one even internal.  Only a few shapes with one pendant group empty
+    and the other far beyond the even-index supply are infeasible; the
+    smallest is (0, 39).
     """
-    g = generate(FamilySpec("jellyfish", (m1, m2)))
-    got = _first_cordial(g, _jellyfish_candidates(m1, m2))
-    if got is None:
-        return Infeasible(
-            f"jellyfish({m1},{m2}): no internal parity combination and pendant "
-            "even-counts balance the edge labels (scan covers the whole "
-            "pattern space up to pendant exchange)"
-        )
-    return got
+
+    def scheme(a, skip):
+        names = ",".join(f"v{i + 1}" for i in range(4) if a[i]) or "none"
+        return SchemeParams(k1=a[4], k2=a[5], skip=skip, variant=f"internal-evens={names}")
+
+    return _class_scan(
+        FamilySpec("jellyfish", (m1, m2)),
+        (1, 1, 1, 1, m1, m2),
+        scheme,
+        joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
+        singles=4,
+        preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,)),
+    )
 
 
 CONSTRUCTORS = {

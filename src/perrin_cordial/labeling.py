@@ -66,7 +66,7 @@ def induced_edge_label(pu: Parity, pv: Parity) -> int:
 
 
 def pattern_even_count(pattern: ParityPattern) -> int:
-    return sum(1 for p in pattern if p is Parity.EVEN)
+    return pattern.count(Parity.EVEN)
 
 
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:

@@ -115,8 +115,8 @@ def decide_parity(g: Graph) -> Verdict | None:
     return Verdict(
         feasible=False,
         searched=0,
-        reason=f"degree-parity certificate: every degree is even, so every cut is even, "
-        f"but |E| = {m} needs the odd cut {m // 2}",
+        reason=f"degree-parity certificate: every degree is even, so every labeling has an "
+        f"even number of odd edges, but |E| = {m} = 2 (mod 4) needs {m // 2} of them",
     )
 
 

@@ -147,6 +147,13 @@ def test_sweep_analytic_rows_drop_witness_on_request(family, params):
     assert row.tool_verdict is True and row.witness is None
 
 
+def test_sweep_beyond_cap_constructor_row_drops_witness_on_request():
+    cfg = SearchConfig(max_vertices=6, want_witness=False)
+    (row,) = sweep(claim_for("path"), [(30,)], cfg)
+    assert row.decider == "constructor"
+    assert row.tool_verdict is True and row.witness is None
+
+
 def test_sweep_odd_odd_rows_outside_table_are_unknown_not_false():
     rows = sweep(claim_for("complete_bipartite"), [(21, 21)])
     (row,) = rows

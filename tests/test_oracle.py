@@ -17,6 +17,7 @@ from perrin_cordial import (
     construct_bistar,
     construct_complete,
     construct_complete_bipartite,
+    construct_jellyfish,
     construct_star,
     decide_exhaustive,
     decide_parity,
@@ -122,6 +123,19 @@ def test_agreement_with_bistar_full():
             assert (
                 _decide("bistar", (m, n)).feasible == _built(construct_bistar(m, n))
             ), (m, n)
+
+
+def test_agreement_with_star_scan():
+    for n in range(1, 14):
+        assert _decide("star", (n,)).feasible == _built(construct_star(n)), n
+
+
+def test_agreement_with_jellyfish_scan():
+    for m1 in range(0, 11):
+        for m2 in range(0, 11 - m1):
+            assert (
+                _decide("jellyfish", (m1, m2)).feasible == _built(construct_jellyfish(m1, m2))
+            ), (m1, m2)
 
 
 def test_bipartite_examples():
