@@ -9,7 +9,9 @@ the machine verdict is reported alongside, not forced to match.
 
 Claim verdicts are three-valued: True / False where the claim
 characterizes, None where it only states a sufficient condition (the
-odd-by-odd bipartite table) and is silent otherwise.
+odd-by-odd bipartite table) and is silent otherwise.  Tool verdicts come
+from the family's constructor at any size: a tally-verified labeling (the
+row's witness) or a proof (the class-count scan or degree-parity certificate).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .construct import CONSTRUCTORS, Constructed
-from .graphs import FamilySpec, generate
+from .construct import Infeasible, construct
+from .graphs import FamilySpec
 from .labeling import PerrinLabeling
-from .oracle import SearchConfig, decide_exhaustive, decide_parity
+from .oracle import SearchConfig
 
 KN_CLAIMED = frozenset({1, 2, 3, 4, 6, 36, 49, 62, 64, 66, 79, 81, 83})
 BISTAR_CLAIMED_EXTRA = frozenset({28, 29, 30, 32, 36})
@@ -31,9 +33,8 @@ STAR_CLAIMED = frozenset(range(1, 33)) - {25}
 # bound on m+n for odd m, odd n, keyed by (m+n) mod 7; sufficient only
 ODD_ODD_BOUNDS = {0: 28, 1: 22, 2: 30, 3: 38, 4: 32, 5: 40, 6: 34}
 
-# families whose constructor scans every split of every admissible even
-# count, so its Infeasible is a proof
-ANALYTIC_FAMILIES = frozenset({"complete", "complete_bipartite", "star", "bistar"})
+# families whose constructor is the class-count scan
+ANALYTIC_FAMILIES = frozenset({"complete", "complete_bipartite", "star", "bistar", "jellyfish"})
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class ClaimCheckRow:
     family: str
     params: tuple[int, ...]
     paper_verdict: Optional[bool]
-    tool_verdict: Optional[bool]
+    tool_verdict: bool
     decider: str
     agree: Optional[bool]
     witness: PerrinLabeling | None = None
@@ -115,15 +116,17 @@ def builtin_claims() -> list[Claim]:
     ]
 
 
+_CLAIMS = {c.family: c for c in builtin_claims()}
+
+
 def claim_for(family: str) -> Claim:
-    for c in builtin_claims():
-        if c.family == family:
-            return c
-    raise KeyError(f"no built-in claim for family {family!r}")
+    if family not in _CLAIMS:
+        raise KeyError(f"no built-in claim for family {family!r}")
+    return _CLAIMS[family]
 
 
 def default_grid(family: str) -> list[tuple[int, ...]]:
-    """Desk-scale grid per family, sized so no row is left undecided."""
+    """Desk-scale grid per family; outside ANALYTIC_FAMILIES each graph has at most 24 vertices."""
     if family == "path":
         return [(n,) for n in range(1, 21)]
     if family == "cycle":
@@ -145,33 +148,17 @@ def default_grid(family: str) -> list[tuple[int, ...]]:
     raise KeyError(f"no default grid for family {family!r}")
 
 
-def _tool_verdict(
-    family: str, params: tuple[int, ...], cfg: SearchConfig
-) -> tuple[Optional[bool], str, PerrinLabeling | None]:
-    """(verdict, decider, witness) from the strongest applicable decider.
+def _tool_verdict(spec: FamilySpec, want_witness: bool) -> tuple[bool, str, PerrinLabeling | None]:
+    """(verdict, decider, witness) from the family's constructor, at any size.
 
-    The decider is one of "analytic", "parity", "exhaustive",
-    "constructor" or "none".  An analytic family's constructor decides at
-    any size, and so does the degree-parity certificate.  Any other
-    successful constructor run proves feasibility (it is verifier gated),
-    but its failure proves nothing, so rows beyond the exhaustive cap in a
-    non-analytic family come back undecided unless construction succeeds.
+    The decider is "analytic" for the class-scan families; elsewhere it is
+    "constructor" on a labeling and "parity" on Infeasible, its only source there.
     """
-    if family in ANALYTIC_FAMILIES:
-        got = CONSTRUCTORS[family](*params)
-        if isinstance(got, Constructed):
-            return True, "analytic", got.labeling if cfg.want_witness else None
-        return False, "analytic", None
-    g = generate(FamilySpec(family, params))
-    if decide_parity(g) is not None:
-        return False, "parity", None
-    if g.vertex_count <= cfg.max_vertices:
-        v = decide_exhaustive(g, cfg)
-        return v.feasible, "exhaustive", v.witness
-    got = CONSTRUCTORS[family](*params)
-    if isinstance(got, Constructed):
-        return True, "constructor", got.labeling if cfg.want_witness else None
-    return None, "none", None
+    got = construct(spec)
+    analytic = spec.name in ANALYTIC_FAMILIES
+    if isinstance(got, Infeasible):
+        return False, "analytic" if analytic else "parity", None
+    return True, "analytic" if analytic else "constructor", got.labeling if want_witness else None
 
 
 def sweep(
@@ -179,21 +166,24 @@ def sweep(
     grid: Iterable[tuple[int, ...]] | None = None,
     cfg: SearchConfig = SearchConfig(),
 ) -> list[ClaimCheckRow]:
-    """One ClaimCheckRow per grid point, in sorted parameter order."""
+    """One ClaimCheckRow per grid point, in sorted parameter order.
+
+    Each point is validated as a FamilySpec first; of cfg only want_witness is read.
+    """
     points = sorted(grid if grid is not None else default_grid(claim.family))
     rows = []
     for params in points:
-        paper = claim.paper_verdict(params)
-        tool, decider, witness = _tool_verdict(claim.family, params, cfg)
-        agree = None if (paper is None or tool is None) else paper == tool
+        spec = FamilySpec(claim.family, params)
+        paper = claim.paper_verdict(spec.params)
+        tool, decider, witness = _tool_verdict(spec, cfg.want_witness)
         rows.append(
             ClaimCheckRow(
                 family=claim.family,
-                params=params,
+                params=spec.params,
                 paper_verdict=paper,
                 tool_verdict=tool,
                 decider=decider,
-                agree=agree,
+                agree=None if paper is None else paper == tool,
                 witness=witness,
             )
         )
@@ -201,10 +191,8 @@ def sweep(
 
 
 def sweep_all(cfg: SearchConfig = SearchConfig()) -> list[ClaimCheckRow]:
-    rows = []
-    for claim in builtin_claims():
-        rows.extend(sweep(claim, None, cfg))
-    return rows
+    """Every built-in claim over its default grid; of cfg only want_witness is read."""
+    return [row for claim in builtin_claims() for row in sweep(claim, None, cfg)]
 
 
 CSV_COLUMNS = ("family", "params", "paper_verdict", "tool_verdict", "decider", "agree", "witness_file")
@@ -225,7 +213,7 @@ def _row_cells(r: ClaimCheckRow) -> list[str]:
         r.family,
         format_params(r.params),
         _cell(r.paper_verdict, "unknown"),
-        _cell(r.tool_verdict, "undecided"),
+        _cell(r.tool_verdict, ""),
         r.decider,
         _cell(r.agree, ""),
         r.witness_file,

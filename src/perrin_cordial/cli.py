@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -104,24 +105,24 @@ def cmd_decide(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = SearchConfig(max_vertices=args.max_n)
     if args.family == "all":
-        rows = claims_mod.sweep_all(cfg)
+        rows = claims_mod.sweep_all()
     else:
-        claim = claims_mod.claim_for(_family_name(args.family))
+        family = _family_name(args.family)
+        try:
+            claim = claims_mod.claim_for(family)
+        except KeyError:
+            raise FamilyParameterError(f"unknown family {family!r}") from None
         grid = None
         if args.range:
             spans = []
             for token in args.range:
                 lo, _, hi = token.partition(":")
                 spans.append(range(int(lo), int(hi) + 1))
-            if len(spans) == 1:
-                grid = [(n,) for n in spans[0]]
-            elif len(spans) == 2:
-                grid = [(m, n) for m in spans[0] for n in spans[1]]
-            else:
+            if len(spans) > 2:
                 raise FormatError("--range", "expected one or two LO:HI spans")
-        rows = claims_mod.sweep(claim, grid, cfg)
+            grid = list(itertools.product(*spans))
+        rows = claims_mod.sweep(claim, grid)
     if args.witness_dir:
         wdir = Path(args.witness_dir)
         wdir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", nargs="*", metavar="LO:HI", help="one span per parameter")
     p.add_argument("--format", choices=("csv", "md"), default="csv")
     p.add_argument("--out", metavar="FILE")
-    p.add_argument("--max-n", type=int, default=24, metavar="K", help="exhaustive-search cap")
     p.add_argument("--witness-dir", metavar="DIR")
     p.set_defaults(func=cmd_sweep)
 

@@ -6,10 +6,10 @@ confines |S| to {even_count(|V|) - 1, even_count(|V|)}.  That collapses a
 factorial search space to at most two binomial coefficients.  Enumeration
 is depth-first in ascending vertex order (sizes ascending first), so the
 reported witness is the first feasible set in that documented order.
-decide_exhaustive always enumerates in full, so it stays an independent
-check on the certificate below and on the count scans of the family
-constructors, which decide the count-determined families (complete,
-complete bipartite, star, bistar) in the claims sweep.
+decide_exhaustive always enumerates in full.  CLI decide runs it after
+the certificate below; the claims sweep does not call it (the family
+constructors decide every row), so it stays an independent check on the
+certificate and on the constructors.
 
 The degree-parity certificate (decide_parity) proves infeasibility without
 search: cut(S) is congruent to the number of odd-degree vertices in S

@@ -7,6 +7,8 @@ from perrin_cordial import (
     SearchConfig,
     builtin_claims,
     claim_for,
+    construct,
+    decide_exhaustive,
     default_grid,
     generate,
     is_cordial,
@@ -73,8 +75,8 @@ def test_sweep_cycles_all_agree():
     assert infeasible == {6, 10, 14, 18}
     # the degree-parity certificate proves the n = 2 (mod 4) rows
     assert {r.params[0] for r in rows if r.decider == "parity"} == {6, 10, 14, 18}
-    exhaustive = {r.params[0] for r in rows if r.decider == "exhaustive"}
-    assert exhaustive == set(range(3, 21)) - {6, 10, 14, 18}
+    constructed = {r.params[0] for r in rows if r.decider == "constructor"}
+    assert constructed == set(range(3, 21)) - {6, 10, 14, 18}
 
 
 def test_sweep_complete_flags_the_gap():
@@ -162,7 +164,7 @@ def test_sweep_odd_odd_rows_outside_table_are_unknown_not_false():
     assert row.tool_verdict is False  # needs 21 even labels, supply is 19
 
 
-def test_sweep_beyond_cap_uses_constructor_for_feasibility_only():
+def test_sweep_decides_every_row_at_any_size():
     cfg = SearchConfig(max_vertices=6)
     rows = sweep(claim_for("wheel"), [(9,)], cfg)
     (row,) = rows
@@ -173,12 +175,12 @@ def test_sweep_beyond_cap_uses_constructor_for_feasibility_only():
     assert row.decider == "parity"
     assert row.tool_verdict is False
     assert row.agree is True
-    # constructor failure proves nothing: the row stays undecided
+    # the jellyfish class-count scan proves infeasibility at any size
     rows = sweep(claim_for("jellyfish"), [(0, 39)], cfg)
     (row,) = rows
-    assert row.decider == "none"
-    assert row.tool_verdict is None
-    assert row.agree is None
+    assert row.decider == "analytic"
+    assert row.tool_verdict is False
+    assert row.agree is False
 
 
 def test_csv_rendering():
@@ -187,7 +189,7 @@ def test_csv_rendering():
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert lines[1] == "cycle,6,false,false,parity,true,"
-    assert lines[2] == "cycle,7,true,true,exhaustive,true,"
+    assert lines[2] == "cycle,7,true,true,constructor,true,"
 
 
 def test_markdown_rendering():
@@ -212,6 +214,24 @@ def test_sweep_all_parity_rows_are_the_mod4_rows():
         *(("friendship", (n,)) for n in (2, 6, 10)),
     }
     assert all(r.tool_verdict is False and r.agree is True for r in rows if r.decider == "parity")
+
+
+@pytest.mark.parametrize(
+    "family", ["path", "cycle", "wheel", "triangular_snake", "friendship", "jellyfish"]
+)
+def test_sweep_verdicts_match_exhaustive_reference(family):
+    rows = sweep(claim_for(family), None, SearchConfig(want_witness=False))
+    assert len(rows) == len(default_grid(family))
+    for r in rows:
+        g = generate(FamilySpec(r.family, r.params))
+        assert r.tool_verdict is decide_exhaustive(g, SearchConfig(want_witness=False)).feasible, r
+
+
+def test_sweep_all_witnesses_are_constructor_labelings():
+    rows = [r for r in sweep_all() if r.tool_verdict]
+    assert len(rows) == 988
+    for r in rows:
+        assert r.witness == construct(FamilySpec(r.family, r.params)).labeling, r
 
 
 def test_default_grids_within_decider_capability():

@@ -194,6 +194,24 @@ def test_sweep_two_parameter_range(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 5
 
 
+def test_sweep_has_no_max_n_flag():
+    r = run_cli("sweep", "cycle", "--max-n", "6")
+    assert r.returncode == 2
+    assert "--max-n" in r.stderr
+
+
+def test_sweep_unknown_family_is_an_input_error():
+    r = run_cli("sweep", "torus")
+    assert r.returncode == 2
+    assert r.stderr == "error: unknown family 'torus'\n"
+
+
+def test_sweep_bad_grid_point_is_an_input_error():
+    r = run_cli("sweep", "bistar", "--range", "1:2")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: bistar takes 2 parameter(s)")
+
+
 def test_bad_parameters_exit_code():
     assert run_cli("gen", "cycle", "2").returncode == 2
     assert run_cli("gen", "nonsense", "3").returncode == 2
