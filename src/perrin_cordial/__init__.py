@@ -72,9 +72,7 @@ from .oracle import (
 )
 from .perrin import (
     Parity,
-    PerrinSequence,
     even_count,
-    even_count_scan,
     even_indices,
     odd_indices,
     perrin_parity,

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Optional
 from .construct import Infeasible, construct
 from .graphs import FamilySpec
 from .labeling import PerrinLabeling
-from .oracle import SearchConfig
 
 KN_CLAIMED = frozenset({1, 2, 3, 4, 6, 36, 49, 62, 64, 66, 79, 81, 83})
 BISTAR_CLAIMED_EXTRA = frozenset({28, 29, 30, 32, 36})
@@ -164,18 +163,19 @@ def _tool_verdict(spec: FamilySpec, want_witness: bool) -> tuple[bool, str, Perr
 def sweep(
     claim: Claim,
     grid: Iterable[tuple[int, ...]] | None = None,
-    cfg: SearchConfig = SearchConfig(),
+    want_witness: bool = True,
 ) -> list[ClaimCheckRow]:
     """One ClaimCheckRow per grid point, in sorted parameter order.
 
-    Each point is validated as a FamilySpec first; of cfg only want_witness is read.
+    Each point is validated as a FamilySpec first; want_witness=False drops
+    the labelings from the rows.
     """
     points = sorted(grid if grid is not None else default_grid(claim.family))
     rows = []
     for params in points:
         spec = FamilySpec(claim.family, params)
         paper = claim.paper_verdict(spec.params)
-        tool, decider, witness = _tool_verdict(spec, cfg.want_witness)
+        tool, decider, witness = _tool_verdict(spec, want_witness)
         rows.append(
             ClaimCheckRow(
                 family=claim.family,
@@ -190,9 +190,9 @@ def sweep(
     return rows
 
 
-def sweep_all(cfg: SearchConfig = SearchConfig()) -> list[ClaimCheckRow]:
-    """Every built-in claim over its default grid; of cfg only want_witness is read."""
-    return [row for claim in builtin_claims() for row in sweep(claim, None, cfg)]
+def sweep_all(want_witness: bool = True) -> list[ClaimCheckRow]:
+    """Every built-in claim over its default grid."""
+    return [row for claim in builtin_claims() for row in sweep(claim, None, want_witness)]
 
 
 CSV_COLUMNS = ("family", "params", "paper_verdict", "tool_verdict", "decider", "agree", "witness_file")

@@ -47,7 +47,14 @@ def _read(path: str) -> str:
         raise FormatError(path, f"cannot read: {exc}")
 
 
+# the last row's term has 1,222 digits; past index 35,200 a term exceeds
+# Python's 4,300-digit limit on int-to-str conversion
+_SEQ_UPTO_MAX = 10_000
+
+
 def cmd_seq(args) -> int:
+    if not 0 <= args.upto <= _SEQ_UPTO_MAX:
+        raise ValueError(f"--upto must be between 0 and {_SEQ_UPTO_MAX}, got {args.upto}")
     lines = []
     for i in range(args.upto + 1):
         cols = [str(i), str(perrin_value(i))]
@@ -157,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="print sequence indices and values as TSV")
-    p.add_argument("--upto", type=int, required=True, metavar="N")
+    p.add_argument(
+        "--upto", type=int, required=True, metavar="N", help=f"last index, 0..{_SEQ_UPTO_MAX}"
+    )
     p.add_argument("--parity", action="store_true", help="add a parity column")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_seq)

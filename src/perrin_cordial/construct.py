@@ -1,11 +1,13 @@
 """Cordial-labeling constructors for the ten graph families.
 
-Path, cycle, wheel, snake and friendship constructors instantiate a
-block-structured parity scheme: a pinned parameter choice first, where the
-family's feasibility argument fixes one, then the scheme's range.  Their
-closed-form imbalances are heuristics only; a candidate must pass the real
-edge tally.  Their n = 2 (mod 4) shapes are proven infeasible by the
-degree-parity certificate (oracle.decide_parity).
+Path, cycle, wheel, snake and friendship constructors walk a
+block-structured parity scheme (_block_scan).  Each candidate's number of
+odd edges is an exact closed form in its block sizes, tested against the
+real tally, so only the first balanced candidate is built and tallied.
+For n = 7p the path and friendship walks start in the paper's pinned
+even count, and a hit there is recorded as the "pinned" variant.  Shapes
+with n = 2 (mod 4) are proven infeasible by the degree-parity certificate
+(oracle.decide_parity).
 
 Complete, complete bipartite, star, bistar and jellyfish graphs declare a
 class quotient instead: classes of vertices with the same neighbours
@@ -44,21 +46,22 @@ E, O = Parity.EVEN, Parity.ODD
 
 
 class SchemeExhaustedError(RuntimeError):
-    """A family proven always-feasible ran out of scheme candidates."""
+    """A scheme's exact count disagrees with the real tally, or finds no balance
+    for a family proven always-feasible."""
 
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Block sizes of the parity scheme that produced a labeling."""
+    """Block sizes of the parity scheme that produced a labeling.
 
-    p: int | None = None
-    q: int | None = None
+    Each constructor says what p1 and p2 count.  q1 is a path's leading odd
+    block; its closing odd block holds the q2 = n - q1 - p1 - 2*p2 vertices
+    left over.
+    """
+
     p1: int | None = None
     p2: int | None = None
     q1: int | None = None
-    q2: int | None = None
-    k1: int | None = None
-    k2: int | None = None
     skip: Parity | None = None
     variant: str = ""
 
@@ -83,24 +86,55 @@ def _name(spec: FamilySpec) -> str:
     return f"{spec.name}({','.join(map(str, spec.params))})"
 
 
-def _first_cordial(g: Graph, candidates) -> Constructed:
-    """The first candidate whose real edge tally is cordial.
+def _gate(g: Graph, scheme: SchemeParams, pattern: ParityPattern) -> Constructed:
+    """The labeling of a scan's hit, once its real edge tally is cordial.
 
-    Every caller's candidates are proven to include a cordial one, so
-    running out means the scheme (or a declared class quotient) is wrong.
+    Hits come from exact counts, so a failing tally means the count (a block
+    cut or a declared class quotient) is wrong.
     """
-    for scheme, pattern in candidates:
-        t = tally(g, pattern)
-        if is_cordial(t):
-            return Constructed(labeling=realize(g, pattern), scheme=scheme, tally=t)
-    where = _name(g.family) if g.family else f"graph on {g.vertex_count} vertices"
-    raise SchemeExhaustedError(f"{where}: no scheme candidate passes the tally gate")
+    t = tally(g, pattern)
+    if not is_cordial(t):
+        where = _name(g.family) if g.family else f"graph on {g.vertex_count} vertices"
+        raise SchemeExhaustedError(f"{where}: the scheme's hit fails the tally gate")
+    return Constructed(labeling=realize(g, pattern), scheme=scheme, tally=t)
 
 
-def _parity_or_first(g: Graph, candidates) -> Constructed | Infeasible:
-    """Infeasible by the degree-parity certificate, else the first cordial candidate."""
+def _block_scan(spec: FamilySpec, walk, build) -> Constructed | Infeasible:
+    """Infeasible by the degree-parity certificate, else the first balanced key of the walk.
+
+    walk(n) yields (key, cut) with cut the key's exact number of odd edges;
+    only the hit is built, by build(n, *key) -> (scheme, pattern), and tallied.
+    """
+    (n,) = spec.params
+    g = generate(spec)
     proof = decide_parity(g)
-    return _first_cordial(g, candidates) if proof is None else Infeasible(proof.reason)
+    if proof is not None:
+        return Infeasible(proof.reason)
+    for key, cut in walk(n):
+        if -1 <= g.edge_count - 2 * cut <= 1:
+            return _gate(g, *build(n, *key))
+    raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
+
+
+def _line_cut(blocks, ring: bool = False) -> int:
+    """Odd edges along a line, or a ring, of blocks (size, first, last parity).
+
+    A block is constant (first is last) or strictly alternating, which
+    changes parity size - 1 times inside.
+    """
+    cut, head, prev = 0, None, None
+    for size, first, last in blocks:
+        if size:
+            if first is not last:
+                cut += size - 1
+            if prev is None:
+                head = first
+            elif prev is not first:
+                cut += 1
+            prev = last
+    if ring and prev is not None and prev is not head:
+        cut += 1
+    return cut
 
 
 def _alt(p2: int) -> tuple[Parity, ...]:
@@ -111,118 +145,92 @@ def _alt(p2: int) -> tuple[Parity, ...]:
 # ---------------------------------------------------------------- paths
 
 
-def _path_candidates(n: int):
-    sizes = feasible_even_counts(n)
-    if n % 7 == 0 and n > 0:
-        # pinned choice for n = 7p, one even index skipped: the block
-        # imbalance is n - 4*p2 - 5 with a leading odd block, n - 4*p2 - 3
-        # without one.
-        p = n // 7
-        s = 3 * p
-        if s in sizes:
-            odds = n - s
-            for q1, const in ((1, 5), (0, 3)):
-                for eps in (0, 1, -1):
-                    num = n - const - eps
-                    if num % 4 != 0:
-                        continue
-                    p2 = num // 4
-                    p1 = s - p2
-                    q2 = odds - q1 - p2
-                    if p2 < 0 or p1 < 0 or q2 < 0:
-                        continue
-                    scheme = SchemeParams(
-                        p=p, q=0, p1=p1, p2=p2, q1=q1, q2=q2, skip=E, variant="pinned"
-                    )
-                    yield scheme, (O,) * q1 + (E,) * p1 + _alt(p2) + (O,) * q2
-    for s in sizes:
+def _path_walk(n: int):
+    """Keys (s, q1, p2) of O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens."""
+    # the paper's n = 7p choice opens with an odd vertex: try q1 = 1 first
+    q1s = (1, 0) if n % 7 == 0 else (0, 1)
+    for s in feasible_even_counts(n):
         odds = n - s
-        for q1 in (0, 1):
-            if q1 > odds:
-                continue
-            for p2 in range(0, min(s, odds - q1) + 1):
-                p1 = s - p2
-                q2 = odds - q1 - p2
-                scheme = SchemeParams(
-                    p1=p1, p2=p2, q1=q1, q2=q2, skip=_skip_of(s, n), variant="scan"
-                )
-                yield scheme, (O,) * q1 + (E,) * p1 + _alt(p2) + (O,) * q2
+        for q1 in q1s:
+            for p2 in range(min(s, odds - q1) + 1):
+                blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (odds - q1 - p2, O, O))
+                yield (s, q1, p2), _line_cut(blocks)
 
 
-def construct_path(n: int) -> Constructed:
+def _path_build(n: int, s: int, q1: int, p2: int):
+    skip = _skip_of(s, n)
+    # for n = 7p the walk starts at the paper's 3p evens, one even index skipped
+    variant = "pinned" if n % 7 == 0 and skip is E else "scan"
+    scheme = SchemeParams(p1=s - p2, p2=p2, q1=q1, skip=skip, variant=variant)
+    return scheme, (O,) * q1 + (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - q1 - p2)
+
+
+def construct_path(n: int) -> Constructed | Infeasible:
     """Cordial labeling of the n-vertex path; always succeeds."""
-    return _first_cordial(generate(FamilySpec("path", (n,))), _path_candidates(n))
+    return _block_scan(FamilySpec("path", (n,)), _path_walk, _path_build)
 
 
-# ---------------------------------------------------------------- cycles
+# ------------------------------------------------------- cycles and wheels
 
 
-def _cycle_pattern(n: int, p1: int, p2: int) -> ParityPattern:
-    tail = n - p1 - 2 * p2
-    return (E,) * p1 + _alt(p2) + (O,) * tail
+def _ring_walk(n: int, vertex_count: int):
+    """Keys (s, p2) of the ring E^p1 (OE)^p2 O^tail on n vertices, p1 = s - p2."""
+    for s in feasible_even_counts(vertex_count):
+        for p2 in range(min(s, n - s) + 1):
+            blocks = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O))
+            yield (s, p2), _line_cut(blocks, ring=True)
 
 
-def _cycle_candidates(n: int):
-    sizes = feasible_even_counts(n)
-    # pinned: p2 = (n - k)/4 for the k in {3,4,5} congruent to n mod 4
-    k = {3: 3, 0: 4, 1: 5}[n % 4]
-    p2p = (n - k) // 4
-    for s in sizes:
-        p1 = s - p2p
-        if p2p >= 0 and p1 >= 0 and p1 + 2 * p2p <= n:
-            scheme = SchemeParams(p1=p1, p2=p2p, skip=_skip_of(s, n), variant="pinned")
-            yield scheme, _cycle_pattern(n, p1, p2p)
-    for s in sizes:
-        for p2 in range(0, s + 1):
-            p1 = s - p2
-            if p1 + 2 * p2 > n:
-                continue
-            scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, n), variant="scan")
-            yield scheme, _cycle_pattern(n, p1, p2)
+def _ring_pattern(n: int, s: int, p2: int) -> ParityPattern:
+    return (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - p2)
+
+
+def _cycle_walk(n: int):
+    return _ring_walk(n, n)
+
+
+def _cycle_build(n: int, s: int, p2: int):
+    scheme = SchemeParams(p1=s - p2, p2=p2, skip=_skip_of(s, n), variant="scan")
+    return scheme, _ring_pattern(n, s, p2)
 
 
 def construct_cycle(n: int) -> Constructed | Infeasible:
     """Cordial labeling of the n-cycle, or Infeasible when n = 2 (mod 4)."""
-    return _parity_or_first(generate(FamilySpec("cycle", (n,))), _cycle_candidates(n))
+    return _block_scan(FamilySpec("cycle", (n,)), _cycle_walk, _cycle_build)
 
 
-# ---------------------------------------------------------------- wheels
+def _wheel_walk(n: int):
+    # the rim's cut plus one odd spoke per even rim vertex
+    return ((key, cut + key[0]) for key, cut in _ring_walk(n, n + 1))
 
 
-def _wheel_pattern(n: int, p1: int, p2: int) -> ParityPattern:
-    tail = n - p1 - 2 * p2
+def _wheel_build(n: int, s: int, p2: int):
+    scheme = SchemeParams(p1=s - p2, p2=p2, skip=_skip_of(s, n + 1), variant="scan")
     # hub is vertex 0 and stays odd in this scheme
-    return (O,) + (E,) * p1 + _alt(p2) + (O,) * tail
+    return scheme, (O,) + _ring_pattern(n, s, p2)
 
 
-def _wheel_candidates(n: int):
-    sizes = feasible_even_counts(n + 1)
-    p, k = divmod(n + 1, 7)
-    p1t = p + 3 if k in (0, 6) else p + k
-    p2t = 2 * p - 2 if k == 0 else 2 * p if k == 6 else 2 * p - 1
-    if p1t >= 0 and p2t >= 0 and p1t + 2 * p2t <= n and (p1t + p2t) in sizes:
-        scheme = SchemeParams(
-            p=p, q=k, p1=p1t, p2=p2t, skip=_skip_of(p1t + p2t, n + 1), variant="pinned"
-        )
-        yield scheme, _wheel_pattern(n, p1t, p2t)
-    for s in sizes:
-        for p2 in range(0, s + 1):
-            p1 = s - p2
-            if p1 + 2 * p2 > n:
-                continue
-            scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, n + 1), variant="scan")
-            yield scheme, _wheel_pattern(n, p1, p2)
-
-
-def construct_wheel(n: int) -> Constructed:
+def construct_wheel(n: int) -> Constructed | Infeasible:
     """Cordial labeling of the wheel with n rim vertices; always succeeds."""
-    return _first_cordial(generate(FamilySpec("wheel", (n,))), _wheel_candidates(n))
+    return _block_scan(FamilySpec("wheel", (n,)), _wheel_walk, _wheel_build)
 
 
 # ------------------------------------------------------ triangular snakes
 
 
-def _snake_pattern(n: int, p1: int, p2: int) -> ParityPattern:
+def _snake_walk(n: int):
+    """Keys (s, p2): the last p2 + 1 path vertices and p2 tips even, then p1 leading tips."""
+    for s in feasible_even_counts(2 * n + 1):
+        for p2 in range(min(n, (s - 1) // 2) + 1):
+            p1 = s - 2 * p2 - 1
+            if p1 + p2 <= n:
+                # where the path turns even, one odd path edge and one odd tip
+                # edge; two per even tip over the odd path
+                yield (s, p2), 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
+
+
+def _snake_build(n: int, s: int, p2: int):
+    p1 = s - 2 * p2 - 1
     # path ids 0..n, tip ids n+1..2n (tip n+i over path edge (i-1, i))
     pattern = [O] * (2 * n + 1)
     for j in range(n - p2, n + 1):  # last p2+1 path vertices
@@ -231,88 +239,46 @@ def _snake_pattern(n: int, p1: int, p2: int) -> ParityPattern:
         pattern[n + i] = E
     for i in range(n + 1 - p2, n + 1):  # last p2 tips
         pattern[n + i] = E
-    return tuple(pattern)
-
-
-def _snake_candidates(n: int):
-    sizes = feasible_even_counts(2 * n + 1)
-    if n % 7 == 0:
-        # pinned choices for n = 7p: imbalance 8*p2 - 3p - 4 skipping an
-        # odd index, 8*p2 - 3p skipping an even one
-        p = n // 7
-        for s, const in ((6 * p + 1, 3 * p + 4), (6 * p, 3 * p)):
-            if s not in sizes:
-                continue
-            for eps in (0, 1, -1):
-                num = const + eps
-                if num % 8 != 0:
-                    continue
-                p2 = num // 8
-                p1 = s - 2 * p2 - 1
-                if p2 < 0 or p1 < 0 or p1 + p2 > n:
-                    continue
-                scheme = SchemeParams(
-                    p=p, q=0, p1=p1, p2=p2, skip=_skip_of(s, 2 * n + 1), variant="pinned"
-                )
-                yield scheme, _snake_pattern(n, p1, p2)
-    for s in sizes:
-        for p2 in range(0, min(n, (s - 1) // 2) + 1):
-            p1 = s - 2 * p2 - 1
-            if p1 < 0 or p1 + p2 > n:
-                continue
-            scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, 2 * n + 1), variant="scan")
-            yield scheme, _snake_pattern(n, p1, p2)
+    scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, 2 * n + 1), variant="scan")
+    return scheme, tuple(pattern)
 
 
 def construct_triangular_snake(n: int) -> Constructed | Infeasible:
     """Cordial labeling of TS_n, or Infeasible when n = 2 (mod 4)."""
-    return _parity_or_first(generate(FamilySpec("triangular_snake", (n,))), _snake_candidates(n))
+    return _block_scan(FamilySpec("triangular_snake", (n,)), _snake_walk, _snake_build)
 
 
 # ------------------------------------------------------------ friendship
 
 
-def _friendship_pattern(n: int, p1: int, p2: int) -> ParityPattern:
+def _friendship_walk(n: int):
+    """Keys (s, p1): p1 all-even blades, then p2 = s - 2*p1 blades with one even tip."""
+    sizes = feasible_even_counts(2 * n + 1)
+    # the paper's n = 7p choice skips an odd index: try s = even_count first
+    for s in sizes[::-1] if n % 7 == 0 else sizes:
+        for p1 in range(s // 2 + 1):
+            p2 = s - 2 * p1
+            if p1 + p2 <= n:
+                # the odd apex meets every even tip; a half-even blade cuts its edge
+                yield (s, p1), 2 * (p1 + p2)
+
+
+def _friendship_build(n: int, s: int, p1: int):
+    p2 = s - 2 * p1
     # apex id 0 stays odd; outer ids 1..2n; blade i = (2i-1, 2i)
     pattern = [O] * (2 * n + 1)
     for j in range(1, 2 * p1 + 1):
         pattern[j] = E
     for t in range(p2):
         pattern[2 * p1 + 1 + 2 * t] = E
-    return tuple(pattern)
-
-
-def _friendship_candidates(n: int):
-    sizes = feasible_even_counts(2 * n + 1)
-    if n % 7 == 0:
-        # pinned for n = 7p, skipping an odd index: imbalance 4*p1 - 3p - 4
-        p = n // 7
-        s = 6 * p + 1
-        if s in sizes:
-            for eps in (0, 1, -1):
-                num = 3 * p + 4 + eps
-                if num % 4 != 0:
-                    continue
-                p1 = num // 4
-                p2 = s - 2 * p1
-                if p1 < 0 or p2 < 0 or p1 + p2 > n:
-                    continue
-                scheme = SchemeParams(
-                    p=p, q=0, p1=p1, p2=p2, skip=O, variant="pinned"
-                )
-                yield scheme, _friendship_pattern(n, p1, p2)
-    for s in sizes:
-        for p1 in range(0, s // 2 + 1):
-            p2 = s - 2 * p1
-            if p1 + p2 > n:
-                continue
-            scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, 2 * n + 1), variant="scan")
-            yield scheme, _friendship_pattern(n, p1, p2)
+    skip = _skip_of(s, 2 * n + 1)
+    variant = "pinned" if n % 7 == 0 and skip is O else "scan"
+    return SchemeParams(p1=p1, p2=p2, skip=skip, variant=variant), tuple(pattern)
 
 
 def construct_friendship(n: int) -> Constructed | Infeasible:
     """Cordial labeling of F_n, or Infeasible when n = 2 (mod 4)."""
-    return _parity_or_first(generate(FamilySpec("friendship", (n,))), _friendship_candidates(n))
+    return _block_scan(FamilySpec("friendship", (n,)), _friendship_walk, _friendship_build)
 
 
 # ------------------------------------------------------ twin-class scan
@@ -377,8 +343,7 @@ def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0
             for j in range(length):
                 if -1 <= e <= 1:
                     a = head + _step(first, j)
-                    pick = (scheme(a, _skip_of(s, n)), _class_pattern(sizes, a))
-                    return _first_cordial(generate(spec), [pick])
+                    return _gate(generate(spec), scheme(a, _skip_of(s, n)), _class_pattern(sizes, a))
                 misses.append(e)
                 if j == 0 and length > 1:
                     d = total - 2 * _class_cut(sizes, cliques, joins, head + _step(first, 1)) - e
@@ -465,7 +430,7 @@ def construct_jellyfish(m1: int, m2: int) -> Constructed | Infeasible:
 
     def scheme(a, skip):
         names = ",".join(f"v{i + 1}" for i in range(4) if a[i]) or "none"
-        return SchemeParams(k1=a[4], k2=a[5], skip=skip, variant=f"internal-evens={names}")
+        return SchemeParams(p1=a[4], p2=a[5], skip=skip, variant=f"internal-evens={names}")
 
     return _class_scan(
         FamilySpec("jellyfish", (m1, m2)),

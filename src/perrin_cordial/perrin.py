@@ -14,7 +14,6 @@ O(1), never from the big integers.
 from __future__ import annotations
 
 import enum
-import threading
 
 _SEEDS = (0, 3, 0, 2)
 # parity of the term at index i >= 1, by i % 7; index 0 is even
@@ -22,15 +21,13 @@ _PARITY_MOD7 = (1, 1, 0, 0, 1, 0, 1)
 # offsets r in 1..7 of the even / odd terms b + r of each period b = 0, 7, 14, ...
 _EVEN_OFFSETS = tuple(r for r in range(1, 8) if not _PARITY_MOD7[r % 7])
 _ODD_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7])
+# the terms computed so far, grown by perrin_value only
+_VALUES = list(_SEEDS)
 
 
 class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
-
-    @classmethod
-    def of(cls, value: int) -> "Parity":
-        return cls(value % 2)
 
     def flipped(self) -> "Parity":
         return Parity(1 - self.value)
@@ -41,48 +38,12 @@ def _check_index(i: int, what: str = "sequence index") -> None:
         raise ValueError(f"{what} must be >= 0, got {i}")
 
 
-class PerrinSequence:
-    """Memoized sequence values indexed from 0, plus the scan oracle's parities.
-
-    Extension of the memo tables is lock-protected, so a shared instance
-    behaves as a pure function under concurrent readers.
-    """
-
-    def __init__(self) -> None:
-        self._values = list(_SEEDS)
-        # parities grown by the mod-2 recurrence, independent of the table
-        self._scan_parities = bytearray(v % 2 for v in _SEEDS)
-        self._lock = threading.Lock()
-
-    def value(self, i: int) -> int:
-        _check_index(i)
-        if i >= len(self._values):
-            with self._lock:
-                vals = self._values
-                while len(vals) <= i:
-                    vals.append(vals[-2] + vals[-3])
-        return self._values[i]
-
-    def parity(self, i: int) -> Parity:
-        return perrin_parity(i)
-
-    def even_count_scan(self, n: int) -> int:
-        """Count even terms among indices 0..n by direct parity scan."""
-        _check_index(n, "count bound")
-        if n >= len(self._scan_parities):
-            with self._lock:
-                pars = self._scan_parities
-                while len(pars) <= n:
-                    pars.append(pars[-2] ^ pars[-3])
-        return self._scan_parities.count(0, 0, n + 1)
-
-
-_shared = PerrinSequence()
-
-
 def perrin_value(i: int) -> int:
     """Term at index i of the reindexed sequence (arbitrary precision)."""
-    return _shared.value(i)
+    _check_index(i)
+    while len(_VALUES) <= i:
+        _VALUES.append(_VALUES[-2] + _VALUES[-3])
+    return _VALUES[i]
 
 
 def perrin_parity(i: int) -> Parity:
@@ -106,11 +67,6 @@ def even_count(n: int) -> int:
     if r <= 4:
         return 3 * p + 3
     return 3 * p + 4
-
-
-def even_count_scan(n: int) -> int:
-    """Independent oracle for even_count: direct scan of parities."""
-    return _shared.even_count_scan(n)
 
 
 def even_indices(n: int) -> list[int]:

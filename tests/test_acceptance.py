@@ -37,7 +37,6 @@ from perrin_cordial import (
     decide_exhaustive,
     default_grid,
     even_count,
-    even_count_scan,
     generate,
     is_cordial,
     is_valid,
@@ -50,6 +49,8 @@ from perrin_cordial import (
 )
 from perrin_cordial.claims import KN_CLAIMED
 from perrin_cordial.construct import bipartite_block_pattern
+
+from oracles import even_count_scan
 
 E, O = Parity.EVEN, Parity.ODD
 

@@ -36,6 +36,19 @@ def test_seq_without_parity_column():
     assert r.stdout.strip().split("\n") == ["0\t0", "1\t3", "2\t0"]
 
 
+def test_seq_rejects_negative_upto():
+    r = run_cli("seq", "--upto", "-3")
+    assert r.returncode == 2
+    assert r.stdout == "" and "--upto" in r.stderr
+
+
+def test_seq_rejects_upto_past_the_bound():
+    # one past the documented bound: rejected up front, though its terms would print
+    r = run_cli("seq", "--upto", "10001")
+    assert r.returncode == 2
+    assert r.stdout == "" and "10000" in r.stderr
+
+
 def test_gen_label_verify_chain(tmp_path):
     g = tmp_path / "g.json"
     f = tmp_path / "f.json"

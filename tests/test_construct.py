@@ -198,14 +198,15 @@ def test_bipartite_emitted_tally_equals_product(m, n):
 
 
 def test_wheel_thirteen_uses_pinned_table():
+    # the paper's table entry (5, 2) is the walk's first hit; no table is kept
     got = _check(construct_wheel(13), FamilySpec("wheel", (13,)))
     assert (got.scheme.p1, got.scheme.p2) == (5, 2)
-    assert got.scheme.variant == "pinned"
+    assert got.scheme.variant == "scan"
     assert abs(got.tally.epsilon) <= 1
 
 
 def test_wheel_six_direct_tally_beats_heuristic():
-    # the closed-form imbalance predicts -1 here; the real tally is 0
+    # the walk's exact cut puts the first hit at (4, 0), whose real tally is 0
     got = _check(construct_wheel(6), FamilySpec("wheel", (6,)))
     assert (got.scheme.p1, got.scheme.p2) == (4, 0)
     assert got.tally.epsilon == 0
@@ -335,7 +336,7 @@ def test_bistar_grid_matches_scheme_reach():
 
 def test_jellyfish_seven_seven():
     got = _check(construct_jellyfish(7, 7), FamilySpec("jellyfish", (7, 7)))
-    assert got.scheme.k2 == 3
+    assert got.scheme.p2 == 3
     assert got.tally.epsilon == -1
     assert got.scheme.variant == "internal-evens=v1,v3"
 
@@ -483,3 +484,47 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
             singles=singles,
         )
         assert isinstance(got, Constructed) == decide_exhaustive(g).feasible, (sizes, joins)
+
+
+# ----------------------------------------------------------- block walks
+
+
+BLOCK_WALKS = {
+    "path": (_construct._path_walk, _construct._path_build, range(1, 81)),
+    "cycle": (_construct._cycle_walk, _construct._cycle_build, range(3, 81)),
+    "wheel": (_construct._wheel_walk, _construct._wheel_build, range(3, 81)),
+    "triangular_snake": (_construct._snake_walk, _construct._snake_build, range(1, 61)),
+    "friendship": (_construct._friendship_walk, _construct._friendship_build, range(1, 61)),
+}
+
+
+@pytest.mark.parametrize("family", BLOCK_WALKS)
+def test_block_walk_cut_is_the_real_tally(family):
+    # every candidate of the walk, also at n = 2 (mod 4) where the
+    # certificate answers before the walk starts
+    walk, build, sizes = BLOCK_WALKS[family]
+    for n in sizes:
+        g = generate(FamilySpec(family, (n,)))
+        for key, cut in walk(n):
+            _, pattern = build(n, *key)
+            assert pattern.count(E) == key[0], (family, n, key)
+            assert cut == tally(g, pattern).e1, (family, n, key)
+
+
+def test_block_constructions_tally_once(monkeypatch):
+    real, calls = _construct.tally, []
+
+    def counting(g, pattern):
+        calls.append(g.vertex_count)
+        return real(g, pattern)
+
+    monkeypatch.setattr(_construct, "tally", counting)
+    cases = [("path", n) for n in range(1, 201)]
+    cases += [("cycle", n) for n in range(3, 201) if n % 4 != 2]
+    cases += [("wheel", n) for n in range(3, 201)]
+    cases += [(f, n) for f in ("triangular_snake", "friendship") for n in range(1, 101) if n % 4 != 2]
+    cases += [("path", 100_000), ("friendship", 20_000), ("triangular_snake", 20_000)]
+    for family, n in cases:
+        calls.clear()
+        got = construct(FamilySpec(family, (n,)))
+        assert isinstance(got, Constructed) and len(calls) == 1, (family, n, calls)
