@@ -42,10 +42,7 @@ from .graphs import (
     FamilyParameterError,
     FamilySpec,
     Graph,
-    UnknownVertexError,
     generate,
-    induced_subgraph,
-    is_connected,
 )
 from .labeling import (
     EdgeTally,

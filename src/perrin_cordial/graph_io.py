@@ -18,6 +18,10 @@ from .perrin import Parity
 EVEN_COLOR = "red"
 ODD_COLOR = "black"
 
+# largest vertex_count read_graph accepts, checked before anything is
+# allocated per vertex (the default roles alone take 8 bytes a vertex)
+_VERTEX_COUNT_MAX = 10_000_000
+
 
 class FormatError(ValueError):
     """Malformed JSON or schema violation, with a field diagnostic."""
@@ -58,8 +62,8 @@ def read_graph(text: str) -> Graph:
     if "vertex_count" not in doc:
         raise FormatError("vertex_count", "missing")
     n = _require_int(doc["vertex_count"], "vertex_count")
-    if n < 0:
-        raise FormatError("vertex_count", "must be >= 0")
+    if not 0 <= n <= _VERTEX_COUNT_MAX:
+        raise FormatError("vertex_count", f"must be between 0 and {_VERTEX_COUNT_MAX}, got {n}")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise FormatError("edges", "expected a list of [u, v] pairs")

@@ -17,6 +17,11 @@ byte-for-byte:
   jellyfish(m1,m2)        internal 0,1,2,3 with edges {01,02,03,12,13};
                           m1 pendants 4..m1+3 on vertex 2,
                           m2 pendants m1+4..m1+m2+3 on vertex 3
+
+Validation is for graphs that come from outside: a direct Graph(...) and
+read_graph check every edge and role.  generate lists its edges already
+normalized and sorted, so it stores them unchecked; they are correct by
+construction, and a test rebuilds them through Graph(...) over a grid.
 """
 
 from __future__ import annotations
@@ -69,10 +74,6 @@ class FamilyParameterError(ValueError):
     """Raised when family parameters violate their documented bounds."""
 
 
-class UnknownVertexError(ValueError):
-    """Raised when an operation references a vertex id outside the graph."""
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     name: str
@@ -99,7 +100,10 @@ class Graph:
     """Immutable simple undirected graph with per-vertex roles.
 
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
-    sorted order, so iteration is deterministic.
+    sorted order, so iteration is deterministic.  The constructor
+    validates: no loops, duplicates or out-of-range endpoints, one known
+    role per vertex.  Graphs from generate skip it (see the module
+    docstring).
     """
 
     vertex_count: int
@@ -136,25 +140,36 @@ class Graph:
         return len(self.edges)
 
 
-def _path_edges(n):
-    return [(i, i + 1) for i in range(n - 1)]
+def _trusted(edges: list[tuple[int, int]], roles: tuple[str, ...], spec: FamilySpec) -> Graph:
+    """generate's graph, stored as built: one role per vertex, and edges
+    with u < v, distinct and in sorted order.  Nothing is checked here."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", len(roles))
+    object.__setattr__(g, "edges", tuple(edges))
+    object.__setattr__(g, "roles", roles)
+    object.__setattr__(g, "family", spec)
+    return g
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the family graph with canonical numbering and vertex roles."""
+    """Build the family graph with canonical numbering and vertex roles.
+
+    Each branch must list its edges as (u, v) with u < v, distinct and in
+    sorted order: _trusted stores them as they are.
+    """
     name, params = spec.name, spec.params
     if name == "path":
         (n,) = params
-        return Graph(n, tuple(_path_edges(n)), ("path",) * n, spec)
-    if name == "cycle":
+        edges, roles = [(i, i + 1) for i in range(n - 1)], ("path",) * n
+    elif name == "cycle":
         (n,) = params
-        edges = _path_edges(n) + [(0, n - 1)]
-        return Graph(n, tuple(edges), ("rim",) * n, spec)
-    if name == "complete":
+        edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
+        roles = ("rim",) * n
+    elif name == "complete":
         (n,) = params
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Graph(n, tuple(edges), ("generic",) * n, spec)
-    if name in ("complete_bipartite", "star"):
+        roles = ("generic",) * n
+    elif name in ("complete_bipartite", "star"):
         if name == "star":
             m, n = 1, params[0]
         else:
@@ -164,71 +179,36 @@ def generate(spec: FamilySpec) -> Graph:
             roles = ("apex",) + ("pendant",) * n
         else:
             roles = ("generic",) * (m + n)
-        return Graph(m + n, tuple(edges), roles, spec)
-    if name == "wheel":
+    elif name == "wheel":
         (n,) = params
         edges = [(0, i) for i in range(1, n + 1)]
-        edges += [(i, i + 1) for i in range(1, n)]
-        edges.append((1, n))
-        return Graph(n + 1, tuple(edges), ("hub",) + ("rim",) * n, spec)
-    if name == "bistar":
+        edges += [(1, 2), (1, n)]
+        edges += [(i, i + 1) for i in range(2, n)]
+        roles = ("hub",) + ("rim",) * n
+    elif name == "bistar":
         m, n = params
         edges = [(0, 1)]
         edges += [(0, 2 + i) for i in range(m)]
         edges += [(1, 2 + m + i) for i in range(n)]
         roles = ("apex", "apex") + ("pendant",) * (m + n)
-        return Graph(m + n + 2, tuple(edges), roles, spec)
-    if name == "triangular_snake":
+    elif name == "triangular_snake":
+        # path vertex i < n is followed by its path edge, then its two tips
         (n,) = params
-        edges = _path_edges(n + 1)
-        edges += [(i - 1, n + i) for i in range(1, n + 1)]
-        edges += [(i, n + i) for i in range(1, n + 1)]
+        edges = [(0, 1), (0, n + 1)]
+        edges += [e for i in range(1, n) for e in ((i, i + 1), (i, n + i), (i, n + i + 1))]
+        edges.append((n, 2 * n))
         roles = ("path",) * (n + 1) + ("blade-tip",) * n
-        return Graph(2 * n + 1, tuple(edges), roles, spec)
-    if name == "friendship":
+    elif name == "friendship":
         (n,) = params
         edges = [(0, i) for i in range(1, 2 * n + 1)]
         edges += [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
         roles = ("apex",) + ("blade-tip",) * (2 * n)
-        return Graph(2 * n + 1, tuple(edges), roles, spec)
-    if name == "jellyfish":
+    elif name == "jellyfish":
         m1, m2 = params
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
         edges += [(2, 4 + i) for i in range(m1)]
         edges += [(3, 4 + m1 + i) for i in range(m2)]
         roles = ("internal",) * 4 + ("pendant",) * (m1 + m2)
-        return Graph(m1 + m2 + 4, tuple(edges), roles, spec)
-    raise FamilyParameterError(f"unknown family {name!r}")
-
-
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
-    """Vertex-induced subgraph with contiguous new ids.
-
-    Returns (subgraph, back) where back[new_id] = old_id.
-    """
-    kept = sorted(set(keep))
-    for v in kept:
-        if not (0 <= v < g.vertex_count):
-            raise UnknownVertexError(f"vertex {v} not in graph with {g.vertex_count} vertices")
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
-    roles = tuple(g.roles[v] for v in kept)
-    return Graph(len(kept), tuple(edges), roles, None), tuple(kept)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == g.vertex_count
+    else:
+        raise FamilyParameterError(f"unknown family {name!r}")
+    return _trusted(edges, roles, spec)

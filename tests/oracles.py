@@ -12,3 +12,22 @@ def even_count_scan(n: int) -> int:
     while len(_PARITIES) <= n:
         _PARITIES.append(_PARITIES[-2] ^ _PARITIES[-3])
     return _PARITIES.count(0, 0, n + 1)
+
+
+def is_connected(g) -> bool:
+    """Depth-first reachability from vertex 0 over g's edges."""
+    if g.vertex_count <= 1:
+        return True
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == g.vertex_count

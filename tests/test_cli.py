@@ -241,3 +241,13 @@ def test_malformed_file_exit_code(tmp_path):
 def test_family_alias():
     r = run_cli("label", "ts", "4")
     assert r.returncode == 0
+
+
+def test_decide_rejects_a_huge_vertex_count(tmp_path):
+    # far past the bound, so the check must come before any per-vertex allocation
+    g = tmp_path / "g.json"
+    g.write_text('{"vertex_count": 1000000000000, "edges": []}')
+    r = run_cli("decide", "--graph", str(g))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "vertex_count" in r.stderr and "10000000" in r.stderr

@@ -1,15 +1,15 @@
-"""Family generators: sizes, roles, connectivity, induced subgraphs."""
+"""Family generators: sizes, roles, connectivity, and the validated rebuild of their output."""
 
 import pytest
 
+from oracles import is_connected
 from perrin_cordial import (
     FamilyParameterError,
     FamilySpec,
+    FormatError,
     Graph,
-    UnknownVertexError,
     generate,
-    induced_subgraph,
-    is_connected,
+    read_graph,
 )
 
 SIZE_CASES = [
@@ -135,37 +135,13 @@ def test_unknown_family_and_arity_rejected():
         FamilySpec("path", (3, 4))
 
 
-def test_induced_subgraph_cycle_arc():
-    g = generate(FamilySpec("cycle", (5,)))
-    sub, back = induced_subgraph(g, {0, 1, 2})
-    assert sub.vertex_count == 3 and sub.edge_count == 2
-    assert back == (0, 1, 2)
-
-
-def test_induced_subgraph_identity():
-    g = generate(FamilySpec("complete", (4,)))
-    sub, back = induced_subgraph(g, range(4))
-    assert sub.vertex_count == 4 and set(sub.edges) == set(g.edges)
-    assert back == (0, 1, 2, 3)
-
-
-def test_induced_subgraph_friendship_blade_is_triangle():
-    g = generate(FamilySpec("friendship", (2,)))
-    sub, back = induced_subgraph(g, {0, 1, 2})
-    assert sub.vertex_count == 3 and sub.edge_count == 3
-
-
-def test_induced_subgraph_unknown_vertex():
-    g = generate(FamilySpec("path", (3,)))
-    with pytest.raises(UnknownVertexError):
-        induced_subgraph(g, {0, 7})
-
-
 def test_graph_rejects_loops_duplicates_and_range():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))
     with pytest.raises(ValueError):
         Graph(3, ((0, 1), (1, 0)))
+    with pytest.raises(ValueError):  # a family field earns no trust
+        Graph(3, ((0, 1), (1, 0)), family=FamilySpec("path", (3,)))
     with pytest.raises(ValueError):
         Graph(3, ((0, 5),))
 
@@ -174,3 +150,44 @@ def test_edges_normalized_and_deterministic():
     g = Graph(4, ((2, 1), (0, 3), (1, 0)))
     assert g.edges == ((0, 1), (0, 3), (1, 2))
     assert generate(FamilySpec("wheel", (6,))) == generate(FamilySpec("wheel", (6,)))
+
+
+# every family at small sizes, plus a few large ones
+TRUSTED_GRID = (
+    [("path", (n,)) for n in (1, 2, 3, 7, 5000)]
+    + [("cycle", (n,)) for n in (3, 4, 5, 22, 1001)]
+    + [("complete", (n,)) for n in (1, 2, 3, 9, 60)]
+    + [("complete_bipartite", mn) for mn in ((1, 1), (2, 1), (3, 4), (5, 2), (40, 41))]
+    + [("star", (n,)) for n in (1, 2, 9, 500)]
+    + [("wheel", (n,)) for n in (3, 4, 5, 13, 1000)]
+    + [("bistar", mn) for mn in ((1, 1), (2, 3), (6, 1), (300, 200))]
+    + [("triangular_snake", (n,)) for n in (1, 2, 3, 4, 1000)]
+    + [("friendship", (n,)) for n in (1, 2, 7, 1000)]
+    + [("jellyfish", mn) for mn in ((0, 0), (0, 3), (2, 0), (7, 7), (50, 50))]
+)
+
+
+@pytest.mark.parametrize("family,params", TRUSTED_GRID)
+def test_generated_edges_survive_the_validating_constructor(family, params):
+    # generate stores its edges unchecked; this is the check it skips
+    spec = FamilySpec(family, params)
+    g = generate(spec)
+    assert g == Graph(g.vertex_count, g.edges, g.roles, spec)
+    assert list(g.edges) == sorted(set(g.edges))
+    assert all(0 <= u < v < g.vertex_count for u, v in g.edges)
+
+
+@pytest.mark.parametrize(
+    "edges,roles",
+    [
+        ("[[0, 1], [1, 0]]", '{"0": "path"}'),
+        ("[[0, 1], [1, 2]]", '{"0": "wizard"}'),
+    ],
+)
+def test_read_graph_with_a_family_is_still_validated(edges, roles):
+    text = (
+        f'{{"vertex_count": 3, "edges": {edges}, "roles": {roles}, '
+        '"family": {"name": "path", "params": [3]}}'
+    )
+    with pytest.raises(FormatError):
+        read_graph(text)
