@@ -52,10 +52,8 @@ from .labeling import (
     PatternLengthError,
     PerrinLabeling,
     feasible_even_counts,
-    induced_edge_label,
     is_cordial,
     is_valid,
-    pattern_even_count,
     realize,
     tally,
     to_parity,

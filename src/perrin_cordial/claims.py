@@ -147,7 +147,7 @@ def default_grid(family: str) -> list[tuple[int, ...]]:
     raise KeyError(f"no default grid for family {family!r}")
 
 
-def _tool_verdict(spec: FamilySpec, want_witness: bool) -> tuple[bool, str, PerrinLabeling | None]:
+def _tool_verdict(spec: FamilySpec) -> tuple[bool, str, PerrinLabeling | None]:
     """(verdict, decider, witness) from the family's constructor, at any size.
 
     The decider is "analytic" for the class-scan families; elsewhere it is
@@ -157,25 +157,21 @@ def _tool_verdict(spec: FamilySpec, want_witness: bool) -> tuple[bool, str, Perr
     analytic = spec.name in ANALYTIC_FAMILIES
     if isinstance(got, Infeasible):
         return False, "analytic" if analytic else "parity", None
-    return True, "analytic" if analytic else "constructor", got.labeling if want_witness else None
+    return True, "analytic" if analytic else "constructor", got.labeling
 
 
-def sweep(
-    claim: Claim,
-    grid: Iterable[tuple[int, ...]] | None = None,
-    want_witness: bool = True,
-) -> list[ClaimCheckRow]:
+def sweep(claim: Claim, grid: Iterable[tuple[int, ...]] | None = None) -> list[ClaimCheckRow]:
     """One ClaimCheckRow per grid point, in sorted parameter order.
 
-    Each point is validated as a FamilySpec first; want_witness=False drops
-    the labelings from the rows.
+    Each point is validated as a FamilySpec first; a feasible row carries the
+    constructor's labeling as its witness.
     """
     points = sorted(grid if grid is not None else default_grid(claim.family))
     rows = []
     for params in points:
         spec = FamilySpec(claim.family, params)
         paper = claim.paper_verdict(spec.params)
-        tool, decider, witness = _tool_verdict(spec, want_witness)
+        tool, decider, witness = _tool_verdict(spec)
         rows.append(
             ClaimCheckRow(
                 family=claim.family,
@@ -190,9 +186,9 @@ def sweep(
     return rows
 
 
-def sweep_all(want_witness: bool = True) -> list[ClaimCheckRow]:
+def sweep_all() -> list[ClaimCheckRow]:
     """Every built-in claim over its default grid."""
-    return [row for claim in builtin_claims() for row in sweep(claim, None, want_witness)]
+    return [row for claim in builtin_claims() for row in sweep(claim)]
 
 
 CSV_COLUMNS = ("family", "params", "paper_verdict", "tool_verdict", "decider", "agree", "witness_file")

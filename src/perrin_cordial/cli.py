@@ -111,6 +111,18 @@ def cmd_decide(args) -> int:
     return 1
 
 
+def _span(token: str) -> range:
+    """The values of a LO:HI token, integers with LO <= HI."""
+    lo, _, hi = token.partition(":")
+    try:
+        span = range(int(lo), int(hi) + 1)
+    except ValueError:
+        span = range(0)
+    if not span:
+        raise FormatError("--range", f"expected LO:HI with integers LO <= HI, got {token!r}")
+    return span
+
+
 def cmd_sweep(args) -> int:
     if args.family == "all":
         rows = claims_mod.sweep_all()
@@ -122,13 +134,9 @@ def cmd_sweep(args) -> int:
             raise FamilyParameterError(f"unknown family {family!r}") from None
         grid = None
         if args.range:
-            spans = []
-            for token in args.range:
-                lo, _, hi = token.partition(":")
-                spans.append(range(int(lo), int(hi) + 1))
-            if len(spans) > 2:
+            if len(args.range) > 2:
                 raise FormatError("--range", "expected one or two LO:HI spans")
-            grid = list(itertools.product(*spans))
+            grid = list(itertools.product(*map(_span, args.range)))
         rows = claims_mod.sweep(claim, grid)
     if args.witness_dir:
         wdir = Path(args.witness_dir)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .graphs import FamilySpec, Graph, generate
 from .labeling import (
@@ -50,8 +51,7 @@ class SchemeExhaustedError(RuntimeError):
     for a family proven always-feasible."""
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(NamedTuple):
     """Block sizes of the parity scheme that produced a labeling.
 
     Each constructor says what p1 and p2 count.  q1 is a path's leading odd
@@ -369,11 +369,6 @@ def construct_complete(n: int) -> Constructed | Infeasible:
         lambda a, skip: SchemeParams(p1=a[0], p2=n - a[0], skip=skip, variant="count-split"),
         cliques=(0,),
     )
-
-
-def bipartite_block_pattern(m: int, n: int, p1: int, p2: int) -> ParityPattern:
-    """p1 even labels on the m-side, p2 on the n-side, rest odd."""
-    return _class_pattern((m, n), (p1, p2))
 
 
 def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:

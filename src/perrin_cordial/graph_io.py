@@ -97,6 +97,8 @@ def read_graph(text: str) -> Graph:
         fam = doc["family"]
         if not (isinstance(fam, dict) and "name" in fam and "params" in fam):
             raise FormatError("family", "expected an object with name and params")
+        if not isinstance(fam["params"], list):
+            raise FormatError("family.params", f"expected a list of integers, got {fam['params']!r}")
         params = tuple(_require_int(p, "family.params") for p in fam["params"])
         family = FamilySpec(fam["name"], params)
     try:

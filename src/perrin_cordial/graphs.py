@@ -30,44 +30,21 @@ from dataclasses import dataclass
 
 ROLES = ("apex", "hub", "rim", "path", "pendant", "blade-tip", "internal", "generic")
 
-FAMILY_NAMES = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "star",
-    "wheel",
-    "bistar",
-    "triangular_snake",
-    "friendship",
-    "jellyfish",
-)
-
-_PARAM_COUNTS = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "wheel": 1,
-    "bistar": 2,
-    "triangular_snake": 1,
-    "friendship": 1,
-    "jellyfish": 2,
+# each family's parameter names and the lower bound they all share
+_FAMILIES = {
+    "path": ("n", 1),
+    "cycle": ("n", 3),
+    "complete": ("n", 1),
+    "complete_bipartite": ("m n", 1),
+    "star": ("n", 1),
+    "wheel": ("n", 3),
+    "bistar": ("m n", 1),
+    "triangular_snake": ("n", 1),
+    "friendship": ("n", 1),
+    "jellyfish": ("m1 m2", 0),
 }
 
-_BOUNDS = {
-    "path": "n >= 1",
-    "cycle": "n >= 3",
-    "complete": "n >= 1",
-    "complete_bipartite": "m >= 1 and n >= 1",
-    "star": "n >= 1",
-    "wheel": "n >= 3",
-    "bistar": "m >= 1 and n >= 1",
-    "triangular_snake": "n >= 1",
-    "friendship": "n >= 1",
-    "jellyfish": "m1 >= 0 and m2 >= 0",
-}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 class FamilyParameterError(ValueError):
@@ -81,18 +58,18 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        # the tuple, not the dict: an unhashable name read from JSON is just unknown
         if self.name not in FAMILY_NAMES:
             raise FamilyParameterError(f"unknown family {self.name!r}")
-        want = _PARAM_COUNTS[self.name]
-        if len(self.params) != want:
+        names, lo = _FAMILIES[self.name]
+        names = names.split()
+        if len(self.params) != len(names):
             raise FamilyParameterError(
-                f"{self.name} takes {want} parameter(s), got {len(self.params)}"
+                f"{self.name} takes {len(names)} parameter(s), got {len(self.params)}"
             )
-        lo = 0 if self.name == "jellyfish" else 3 if self.name in ("cycle", "wheel") else 1
         if any(p < lo for p in self.params):
-            raise FamilyParameterError(
-                f"{self.name}{self.params} violates bound {_BOUNDS[self.name]}"
-            )
+            bound = " and ".join(f"{name} >= {lo}" for name in names)
+            raise FamilyParameterError(f"{self.name}{self.params} violates bound {bound}")
 
 
 @dataclass(frozen=True)

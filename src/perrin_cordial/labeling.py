@@ -60,15 +60,6 @@ class PerrinLabeling:
     domain_max: int
 
 
-def induced_edge_label(pu: Parity, pv: Parity) -> int:
-    """0 when endpoint parities agree, 1 when they differ."""
-    return 0 if pu is pv else 1
-
-
-def pattern_even_count(pattern: ParityPattern) -> int:
-    return pattern.count(Parity.EVEN)
-
-
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:
     """Count induced labels over all edges of g under the parity pattern."""
     if len(pattern) != g.vertex_count:
@@ -119,23 +110,17 @@ def realize(g: Graph, pattern: ParityPattern) -> PerrinLabeling:
             f"pattern has {len(pattern)} entries for {g.vertex_count} vertices"
         )
     n = g.vertex_count
-    evens = even_indices(n)
-    odds = odd_indices(n)
-    need_even = pattern_even_count(pattern)
-    need_odd = n - need_even
+    evens, odds = even_indices(n), odd_indices(n)
+    need_even = pattern.count(Parity.EVEN)
     if need_even > len(evens):
         raise LabelSupplyError(Parity.EVEN, need_even, len(evens))
-    if need_odd > len(odds):
-        raise LabelSupplyError(Parity.ODD, need_odd, len(odds))
-    assignment: dict[int, int] = {}
-    ei = oi = 0
+    if n - need_even > len(odds):
+        raise LabelSupplyError(Parity.ODD, n - need_even, len(odds))
+    # EVEN bound once: looking a member up on the enum class costs more than the rest of the loop
+    even, next_even, next_odd = Parity.EVEN, iter(evens).__next__, iter(odds).__next__
+    assignment = {}
     for v, p in enumerate(pattern):
-        if p is Parity.EVEN:
-            assignment[v] = evens[ei]
-            ei += 1
-        else:
-            assignment[v] = odds[oi]
-            oi += 1
+        assignment[v] = next_even() if p is even else next_odd()
     return PerrinLabeling(assignment=assignment, domain_max=n)
 
 

@@ -29,9 +29,6 @@ class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
 
-    def flipped(self) -> "Parity":
-        return Parity(1 - self.value)
-
 
 def _check_index(i: int, what: str = "sequence index") -> None:
     if i < 0:

@@ -23,7 +23,6 @@ from perrin_cordial import (
     FamilySpec,
     Infeasible,
     Parity,
-    SearchConfig,
     builtin_claims,
     construct_bistar,
     construct_complete,
@@ -48,7 +47,6 @@ from perrin_cordial import (
     to_parity,
 )
 from perrin_cordial.claims import KN_CLAIMED
-from perrin_cordial.construct import bipartite_block_pattern
 
 from oracles import even_count_scan
 
@@ -231,7 +229,7 @@ def test_c07_complete_graph_anchors_and_list_report(tmp_path):
         assert isinstance(construct_complete(n), Infeasible), n
 
     claim = next(c for c in builtin_claims() if c.family == "complete")
-    rows = sweep(claim, [(n,) for n in range(1, 101)], SearchConfig(want_witness=False))
+    rows = sweep(claim, [(n,) for n in range(1, 101)])
     report = tmp_path / "complete_list_report.csv"
     report.write_text(rows_to_csv(rows))
     mismatches = [r for r in rows if r.agree is False]
@@ -253,7 +251,8 @@ def test_c08_bipartite_product_identity():
             g = generate(FamilySpec("complete_bipartite", (m, n)))
             for p1 in range(m + 1):
                 for p2 in range(n + 1):
-                    t = tally(g, bipartite_block_pattern(m, n, p1, p2))
+                    pattern = (E,) * p1 + (O,) * (m - p1) + (E,) * p2 + (O,) * (n - p2)
+                    t = tally(g, pattern)
                     assert t.epsilon == (m - 2 * p1) * (n - 2 * p2), (m, n, p1, p2)
     _pass(8, "product identity over all m, n <= 12")
 

@@ -144,15 +144,15 @@ def test_sweep_analytic_rows_carry_verified_witnesses(family):
     [("complete", (6,)), ("complete_bipartite", (2, 2)), ("star", (3,)), ("bistar", (6, 6))],
 )
 def test_sweep_analytic_rows_drop_witness_on_request(family, params):
-    (row,) = sweep(claim_for(family), [params], want_witness=False)
+    (row,) = sweep(claim_for(family), [params])
     assert row.decider == "analytic"
-    assert row.tool_verdict is True and row.witness is None
+    assert row.tool_verdict is True
 
 
 def test_sweep_beyond_cap_constructor_row_drops_witness_on_request():
-    (row,) = sweep(claim_for("path"), [(30,)], want_witness=False)
+    (row,) = sweep(claim_for("path"), [(30,)])
     assert row.decider == "constructor"
-    assert row.tool_verdict is True and row.witness is None
+    assert row.tool_verdict is True
 
 
 def test_sweep_odd_odd_rows_outside_table_are_unknown_not_false():
@@ -164,17 +164,17 @@ def test_sweep_odd_odd_rows_outside_table_are_unknown_not_false():
 
 
 def test_sweep_decides_every_row_at_any_size():
-    rows = sweep(claim_for("wheel"), [(9,)], want_witness=False)
+    rows = sweep(claim_for("wheel"), [(9,)])
     (row,) = rows
     assert row.decider == "constructor"
     assert row.tool_verdict is True
     # the degree-parity certificate needs no cap
-    (row,) = sweep(claim_for("cycle"), [(10,)], want_witness=False)
+    (row,) = sweep(claim_for("cycle"), [(10,)])
     assert row.decider == "parity"
     assert row.tool_verdict is False
     assert row.agree is True
     # the jellyfish class-count scan proves infeasibility at any size
-    rows = sweep(claim_for("jellyfish"), [(0, 39)], want_witness=False)
+    rows = sweep(claim_for("jellyfish"), [(0, 39)])
     (row,) = rows
     assert row.decider == "analytic"
     assert row.tool_verdict is False
@@ -199,12 +199,12 @@ def test_markdown_rendering():
 
 def test_sweep_all_has_one_row_per_grid_point():
     total = sum(len(default_grid(c.family)) for c in builtin_claims())
-    rows = sweep_all(want_witness=False)
+    rows = sweep_all()
     assert len(rows) == total
 
 
 def test_sweep_all_parity_rows_are_the_mod4_rows():
-    rows = sweep_all(want_witness=False)
+    rows = sweep_all()
     parity = {(r.family, r.params) for r in rows if r.decider == "parity"}
     assert parity == {
         *(("cycle", (n,)) for n in (6, 10, 14, 18, 22)),
@@ -218,7 +218,7 @@ def test_sweep_all_parity_rows_are_the_mod4_rows():
     "family", ["path", "cycle", "wheel", "triangular_snake", "friendship", "jellyfish"]
 )
 def test_sweep_verdicts_match_exhaustive_reference(family):
-    rows = sweep(claim_for(family), None, want_witness=False)
+    rows = sweep(claim_for(family))
     assert len(rows) == len(default_grid(family))
     for r in rows:
         g = generate(FamilySpec(r.family, r.params))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -207,6 +209,14 @@ def test_sweep_two_parameter_range(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 5
 
 
+@pytest.mark.parametrize("token", ["5:3", "5", "a:7", "3:", "1:2:3"])
+def test_sweep_rejects_a_malformed_range(token):
+    r = run_cli("sweep", "cycle", "--range", token)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: --range: expected LO:HI with integers LO <= HI, got {token!r}\n"
+
+
 def test_sweep_has_no_max_n_flag():
     r = run_cli("sweep", "cycle", "--max-n", "6")
     assert r.returncode == 2
@@ -236,6 +246,17 @@ def test_malformed_file_exit_code(tmp_path):
     r = run_cli("decide", "--graph", str(g))
     assert r.returncode == 2
     assert "error:" in r.stderr
+
+
+@pytest.mark.parametrize("params", ["5", "null", "true"])
+def test_family_params_that_are_not_a_list_are_an_input_error(tmp_path, params):
+    g = tmp_path / "g.json"
+    g.write_text('{"vertex_count": 2, "edges": [[0, 1]], "family": {"name": "path", "params": %s}}' % params)
+    for args in (("decide", "--graph", str(g)), ("verify", "--graph", str(g), "--labeling", str(g))):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: family.params: expected a list of integers"), r.stderr
 
 
 def test_family_alias():

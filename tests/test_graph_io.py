@@ -88,6 +88,14 @@ def test_duplicate_index_parses_but_fails_validation():
     assert not is_valid(g, f)
 
 
+@pytest.mark.parametrize("params,shown", [("5", "5"), ("null", "None"), ("true", "True")])
+def test_family_params_must_be_a_list(params, shown):
+    text = '{"vertex_count": 2, "edges": [[0, 1]], "family": {"name": "path", "params": %s}}'
+    with pytest.raises(FormatError) as err:
+        read_graph(text % params)
+    assert str(err.value) == f"family.params: expected a list of integers, got {shown}"
+
+
 def test_roles_default_to_generic_when_absent():
     g = read_graph('{"vertex_count": 2, "edges": [[0, 1]]}')
     assert g.roles == ("generic", "generic")

@@ -128,6 +128,32 @@ def test_parameter_bounds_rejected(family, params):
         FamilySpec(family, params)
 
 
+@pytest.mark.parametrize(
+    "family,arity,bound",
+    [
+        ("path", 1, "n >= 1"),
+        ("cycle", 1, "n >= 3"),
+        ("complete", 1, "n >= 1"),
+        ("complete_bipartite", 2, "m >= 1 and n >= 1"),
+        ("star", 1, "n >= 1"),
+        ("wheel", 1, "n >= 3"),
+        ("bistar", 2, "m >= 1 and n >= 1"),
+        ("triangular_snake", 1, "n >= 1"),
+        ("friendship", 1, "n >= 1"),
+        ("jellyfish", 2, "m1 >= 0 and m2 >= 0"),
+    ],
+)
+def test_arity_and_bound_messages(family, arity, bound):
+    wrong = (5,) * (3 - arity)
+    with pytest.raises(FamilyParameterError) as err:
+        FamilySpec(family, wrong)
+    assert str(err.value) == f"{family} takes {arity} parameter(s), got {len(wrong)}"
+    low = (-1,) + (0,) * (arity - 1)
+    with pytest.raises(FamilyParameterError) as err:
+        FamilySpec(family, low)
+    assert str(err.value) == f"{family}{low} violates bound {bound}"
+
+
 def test_unknown_family_and_arity_rejected():
     with pytest.raises(FamilyParameterError):
         FamilySpec("torus", (3,))

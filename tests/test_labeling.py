@@ -15,10 +15,8 @@ from perrin_cordial import (
     PerrinLabeling,
     feasible_even_counts,
     generate,
-    induced_edge_label,
     is_cordial,
     is_valid,
-    pattern_even_count,
     realize,
     tally,
     to_parity,
@@ -26,13 +24,6 @@ from perrin_cordial import (
 from strategies import graph_and_pattern, graph_and_valid_labeling
 
 E, O = Parity.EVEN, Parity.ODD
-
-
-def test_induced_edge_label_table():
-    assert induced_edge_label(E, E) == 0
-    assert induced_edge_label(O, O) == 0
-    assert induced_edge_label(E, O) == 1
-    assert induced_edge_label(O, E) == 1
 
 
 def test_tally_path3():
@@ -118,7 +109,7 @@ def test_tally_counts_every_edge(gp):
 @settings(max_examples=150)
 def test_flip_invariance(gp):
     g, pattern = gp
-    flipped = tuple(p.flipped() for p in pattern)
+    flipped = tuple(Parity(1 - p.value) for p in pattern)
     assert tally(g, pattern) == tally(g, flipped)
 
 
@@ -176,4 +167,3 @@ def test_feasible_even_counts():
     # even_count(4) = 3 available even indices among {0..4}
     assert feasible_even_counts(4) == (2, 3)
     assert feasible_even_counts(1) == (0, 1)
-    assert pattern_even_count((E, O, E)) == 2
