@@ -18,16 +18,6 @@ from .construct import (
     SchemeExhaustedError,
     SchemeParams,
     construct,
-    construct_bistar,
-    construct_complete,
-    construct_complete_bipartite,
-    construct_cycle,
-    construct_friendship,
-    construct_jellyfish,
-    construct_path,
-    construct_star,
-    construct_triangular_snake,
-    construct_wheel,
 )
 from .graph_io import (
     FormatError,

@@ -99,6 +99,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    if args.out and not args.witness:
+        raise FormatError("--out", "writes the witness labeling, so it needs --witness")
     g = read_graph(_read(args.graph))
     cfg = SearchConfig(max_vertices=args.max_n, want_witness=args.witness)
     verdict = decide_parity(g) or decide_exhaustive(g, cfg)
@@ -125,6 +127,8 @@ def _span(token: str) -> range:
 
 def cmd_sweep(args) -> int:
     if args.family == "all":
+        if args.range is not None:
+            raise FormatError("--range", "applies to a single family, not to 'all'")
         rows = claims_mod.sweep_all()
     else:
         family = _family_name(args.family)

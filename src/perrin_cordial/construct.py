@@ -1,5 +1,9 @@
 """Cordial-labeling constructors for the ten graph families.
 
+construct(spec) is the one entry point: it hands the validated FamilySpec
+to the family's entry in CONSTRUCTORS, which reads its sizes from
+spec.params and validates nothing again.
+
 Path, cycle, wheel, snake and friendship constructors walk a
 block-structured parity scheme (_block_scan).  Each candidate's number of
 odd edges is an exact closed form in its block sizes, tested against the
@@ -27,7 +31,7 @@ even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
 
 from .graphs import FamilySpec, Graph, generate
@@ -165,11 +169,6 @@ def _path_build(n: int, s: int, q1: int, p2: int):
     return scheme, (O,) * q1 + (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - q1 - p2)
 
 
-def construct_path(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of the n-vertex path; always succeeds."""
-    return _block_scan(FamilySpec("path", (n,)), _path_walk, _path_build)
-
-
 # ------------------------------------------------------- cycles and wheels
 
 
@@ -194,11 +193,6 @@ def _cycle_build(n: int, s: int, p2: int):
     return scheme, _ring_pattern(n, s, p2)
 
 
-def construct_cycle(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of the n-cycle, or Infeasible when n = 2 (mod 4)."""
-    return _block_scan(FamilySpec("cycle", (n,)), _cycle_walk, _cycle_build)
-
-
 def _wheel_walk(n: int):
     # the rim's cut plus one odd spoke per even rim vertex
     return ((key, cut + key[0]) for key, cut in _ring_walk(n, n + 1))
@@ -208,11 +202,6 @@ def _wheel_build(n: int, s: int, p2: int):
     scheme = SchemeParams(p1=s - p2, p2=p2, skip=_skip_of(s, n + 1), variant="scan")
     # hub is vertex 0 and stays odd in this scheme
     return scheme, (O,) + _ring_pattern(n, s, p2)
-
-
-def construct_wheel(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of the wheel with n rim vertices; always succeeds."""
-    return _block_scan(FamilySpec("wheel", (n,)), _wheel_walk, _wheel_build)
 
 
 # ------------------------------------------------------ triangular snakes
@@ -243,11 +232,6 @@ def _snake_build(n: int, s: int, p2: int):
     return scheme, tuple(pattern)
 
 
-def construct_triangular_snake(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of TS_n, or Infeasible when n = 2 (mod 4)."""
-    return _block_scan(FamilySpec("triangular_snake", (n,)), _snake_walk, _snake_build)
-
-
 # ------------------------------------------------------------ friendship
 
 
@@ -274,11 +258,6 @@ def _friendship_build(n: int, s: int, p1: int):
     skip = _skip_of(s, 2 * n + 1)
     variant = "pinned" if n % 7 == 0 and skip is O else "scan"
     return SchemeParams(p1=p1, p2=p2, skip=skip, variant=variant), tuple(pattern)
-
-
-def construct_friendship(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of F_n, or Infeasible when n = 2 (mod 4)."""
-    return _block_scan(FamilySpec("friendship", (n,)), _friendship_walk, _friendship_build)
 
 
 # ------------------------------------------------------ twin-class scan
@@ -361,74 +340,57 @@ def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0
     )
 
 
-def construct_complete(n: int) -> Constructed | Infeasible:
-    """Cordial labeling of K_n: one clique class, so only the even count matters."""
+def _complete(spec: FamilySpec) -> Constructed | Infeasible:
+    # K_n: one clique class, so only the even count matters
+    (n,) = spec.params
     return _class_scan(
-        FamilySpec("complete", (n,)),
+        spec,
         (n,),
         lambda a, skip: SchemeParams(p1=a[0], p2=n - a[0], skip=skip, variant="count-split"),
         cliques=(0,),
     )
 
 
-def construct_complete_bipartite(m: int, n: int) -> Constructed | Infeasible:
-    """Cordial labeling of K_{m,n}: two joined sides, imbalance (m-2*p1)(n-2*p2)."""
-    return _class_scan(
-        FamilySpec("complete_bipartite", (m, n)),
-        (m, n),
-        lambda a, skip: SchemeParams(p1=a[0], p2=a[1], skip=skip),
-        joins=((0, 1),),
-    )
+def _sides(a, skip) -> SchemeParams:
+    return SchemeParams(p1=a[0], p2=a[1], skip=skip)
 
 
-def construct_star(n: int) -> Constructed | Infeasible:
-    """Star on n leaves, numbered as K_{1,n}: the apex joined to one leaf class."""
-    return _class_scan(
-        FamilySpec("star", (n,)),
-        (1, n),
-        lambda a, skip: SchemeParams(p1=a[0], p2=a[1], skip=skip),
-        joins=((0, 1),),
-        singles=1,
-    )
+def _complete_bipartite(spec: FamilySpec) -> Constructed | Infeasible:
+    # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
+    m, n = spec.params
+    return _class_scan(spec, (m, n), _sides, joins=((0, 1),))
 
 
-def construct_bistar(m: int, n: int) -> Constructed | Infeasible:
-    """Cordial labeling of the bistar B_{m,n}.
+def _star(spec: FamilySpec) -> Constructed | Infeasible:
+    # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
+    (n,) = spec.params
+    return _class_scan(spec, (1, n), _sides, joins=((0, 1),), singles=1)
 
-    Both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
-    (m+n = 3 is the smallest) need other apex parities, which the scheme
-    variant records.
-    """
+
+def _bistar(spec: FamilySpec) -> Constructed | Infeasible:
+    # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
+    # (m+n = 3 is the smallest) need other apex parities, which the variant records
+    m, n = spec.params
 
     def scheme(a, skip):
         names = ("odd", "even")
         variant = f"apexes-{names[a[0]]}-{names[a[1]]}" if any(a[:2]) else "both-apexes-odd"
         return SchemeParams(p1=a[2], p2=a[3], skip=skip, variant=variant)
 
-    return _class_scan(
-        FamilySpec("bistar", (m, n)),
-        (1, 1, m, n),
-        scheme,
-        joins=((0, 1), (0, 2), (1, 3)),
-        singles=2,
-    )
+    return _class_scan(spec, (1, 1, m, n), scheme, joins=((0, 1), (0, 2), (1, 3)), singles=2)
 
 
-def construct_jellyfish(m1: int, m2: int) -> Constructed | Infeasible:
-    """Cordial labeling of J_{m1,m2}.
-
-    The pinned internal parities come first: v1,v3 even, its mirror v2,v4,
-    then one even internal.  Only a few shapes with one pendant group empty
-    and the other far beyond the even-index supply are infeasible; the
-    smallest is (0, 39).
-    """
+def _jellyfish(spec: FamilySpec) -> Constructed | Infeasible:
+    # the pinned internal parities come first: v1,v3 even, its mirror v2,v4,
+    # then one even internal
+    m1, m2 = spec.params
 
     def scheme(a, skip):
         names = ",".join(f"v{i + 1}" for i in range(4) if a[i]) or "none"
         return SchemeParams(p1=a[4], p2=a[5], skip=skip, variant=f"internal-evens={names}")
 
     return _class_scan(
-        FamilySpec("jellyfish", (m1, m2)),
+        spec,
         (1, 1, 1, 1, m1, m2),
         scheme,
         joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
@@ -437,20 +399,28 @@ def construct_jellyfish(m1: int, m2: int) -> Constructed | Infeasible:
     )
 
 
+# each family's constructor, a function of its validated FamilySpec
 CONSTRUCTORS = {
-    "path": construct_path,
-    "cycle": construct_cycle,
-    "complete": construct_complete,
-    "complete_bipartite": construct_complete_bipartite,
-    "star": construct_star,
-    "wheel": construct_wheel,
-    "bistar": construct_bistar,
-    "triangular_snake": construct_triangular_snake,
-    "friendship": construct_friendship,
-    "jellyfish": construct_jellyfish,
+    # always succeeds
+    "path": partial(_block_scan, walk=_path_walk, build=_path_build),
+    # Infeasible when n = 2 (mod 4)
+    "cycle": partial(_block_scan, walk=_cycle_walk, build=_cycle_build),
+    "complete": _complete,
+    "complete_bipartite": _complete_bipartite,
+    "star": _star,
+    # always succeeds
+    "wheel": partial(_block_scan, walk=_wheel_walk, build=_wheel_build),
+    "bistar": _bistar,
+    # Infeasible when n = 2 (mod 4)
+    "triangular_snake": partial(_block_scan, walk=_snake_walk, build=_snake_build),
+    # Infeasible when n = 2 (mod 4)
+    "friendship": partial(_block_scan, walk=_friendship_walk, build=_friendship_build),
+    # Infeasible only for a few shapes with one pendant group empty and the
+    # other far beyond the even-index supply; the smallest is (0, 39)
+    "jellyfish": _jellyfish,
 }
 
 
 def construct(spec: FamilySpec) -> Constructed | Infeasible:
-    """Dispatch to the family constructor for spec."""
-    return CONSTRUCTORS[spec.name](*spec.params)
+    """Cordial labeling of spec's graph, or Infeasible with the reason."""
+    return CONSTRUCTORS[spec.name](spec)

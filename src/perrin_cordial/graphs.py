@@ -57,10 +57,14 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(int(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(self.params))
         # the tuple, not the dict: an unhashable name read from JSON is just unknown
         if self.name not in FAMILY_NAMES:
             raise FamilyParameterError(f"unknown family {self.name!r}")
+        for p in self.params:
+            # no silent int(): 2.7 and "3" are not sizes, and True is not 1
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise FamilyParameterError(f"{self.name} parameters must be integers, got {p!r}")
         names, lo = _FAMILIES[self.name]
         names = names.split()
         if len(self.params) != len(names):

@@ -15,19 +15,21 @@ from __future__ import annotations
 
 import enum
 
-_SEEDS = (0, 3, 0, 2)
-# parity of the term at index i >= 1, by i % 7; index 0 is even
-_PARITY_MOD7 = (1, 1, 0, 0, 1, 0, 1)
-# offsets r in 1..7 of the even / odd terms b + r of each period b = 0, 7, 14, ...
-_EVEN_OFFSETS = tuple(r for r in range(1, 8) if not _PARITY_MOD7[r % 7])
-_ODD_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7])
-# the terms computed so far, grown by perrin_value only
-_VALUES = list(_SEEDS)
-
 
 class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
+
+
+_SEEDS = (0, 3, 0, 2)
+_E, _O = Parity.EVEN, Parity.ODD
+# parity of the term at index i >= 1, by i % 7; index 0 is even
+_PARITY_MOD7 = (_O, _O, _E, _E, _O, _E, _O)
+# offsets r in 1..7 of the even / odd terms b + r of each period b = 0, 7, 14, ...
+_EVEN_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7] is _E)
+_ODD_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7] is _O)
+# the terms computed so far, grown by perrin_value only
+_VALUES = list(_SEEDS)
 
 
 def _check_index(i: int, what: str = "sequence index") -> None:
@@ -46,7 +48,7 @@ def perrin_value(i: int) -> int:
 def perrin_parity(i: int) -> Parity:
     """Parity of the term at index i, from the period-7 table."""
     _check_index(i)
-    return Parity(_PARITY_MOD7[i % 7]) if i else Parity.EVEN
+    return _PARITY_MOD7[i % 7] if i else _E
 
 
 def even_count(n: int) -> int:

@@ -24,15 +24,7 @@ from perrin_cordial import (
     Infeasible,
     Parity,
     builtin_claims,
-    construct_bistar,
-    construct_complete,
-    construct_complete_bipartite,
-    construct_cycle,
-    construct_friendship,
-    construct_jellyfish,
-    construct_path,
-    construct_triangular_snake,
-    construct_wheel,
+    construct,
     decide_exhaustive,
     default_grid,
     even_count,
@@ -81,7 +73,8 @@ def test_c03_parity_periodicity():
     _pass(3, "parity period 7 on 1..10^3")
 
 
-def _gate(got, spec):
+def _gate(spec):
+    got = construct(spec)
     assert isinstance(got, Constructed), (spec, got)
     g = generate(spec)
     assert is_valid(g, got.labeling), spec
@@ -122,38 +115,35 @@ def _jellyfish_infeasible_by_recount(m1, m2):
 def test_c04_constructor_soundness_grid():
     t0 = time.perf_counter()
     for n in range(1, 201):
-        _gate(construct_path(n), FamilySpec("path", (n,)))
+        _gate(FamilySpec("path", (n,)))
     for n in range(3, 201):
         if n % 4 != 2:
-            _gate(construct_cycle(n), FamilySpec("cycle", (n,)))
+            _gate(FamilySpec("cycle", (n,)))
     for n in range(3, 201):
-        _gate(construct_wheel(n), FamilySpec("wheel", (n,)))
+        _gate(FamilySpec("wheel", (n,)))
     for n in range(1, 101):
         if n % 4 != 2:
-            _gate(construct_triangular_snake(n), FamilySpec("triangular_snake", (n,)))
-            _gate(construct_friendship(n), FamilySpec("friendship", (n,)))
+            _gate(FamilySpec("triangular_snake", (n,)))
+            _gate(FamilySpec("friendship", (n,)))
     for total in list(range(2, 27)) + [28, 29, 30, 32, 36]:
         for m in range(1, total):
-            _gate(construct_bistar(m, total - m), FamilySpec("bistar", (m, total - m)))
+            _gate(FamilySpec("bistar", (m, total - m)))
     for m1 in range(0, 51):
         for m2 in range(0, 51):
-            got = construct_jellyfish(m1, m2)
+            spec = FamilySpec("jellyfish", (m1, m2))
             if (m1, m2) in JELLY_INFEASIBLE:
-                assert isinstance(got, Infeasible), (m1, m2)
+                assert isinstance(construct(spec), Infeasible), (m1, m2)
                 assert _jellyfish_infeasible_by_recount(m1, m2), (m1, m2)
             else:
-                _gate(got, FamilySpec("jellyfish", (m1, m2)))
+                _gate(spec)
     for n in sorted(KN_CLAIMED):
-        _gate(construct_complete(n), FamilySpec("complete", (n,)))
+        _gate(FamilySpec("complete", (n,)))
     pairs = 0
     for n in range(1, 120, 2):
         for m in range(2, 121 - n, 2):
             if m > 6 * n + 26 or m == 6 * n + 22:
                 continue
-            _gate(
-                construct_complete_bipartite(m, n),
-                FamilySpec("complete_bipartite", (m, n)),
-            )
+            _gate(FamilySpec("complete_bipartite", (m, n)))
             pairs += 1
     dt = time.perf_counter() - t0
     assert dt < 60.0, f"grid took {dt:.1f}s, bound is 60s"
@@ -173,7 +163,7 @@ def test_c04_constructor_soundness_grid():
     "jellyfish claim fails at degenerate shapes with one empty pendant group",
 )
 def test_c04_literal_jellyfish_grid_point():
-    assert isinstance(construct_jellyfish(0, 39), Constructed)
+    assert isinstance(construct(FamilySpec("jellyfish", (0, 39))), Constructed)
 
 
 def test_c05_proven_infeasibility():
@@ -202,31 +192,31 @@ def test_c06_oracle_analytic_agreement():
     for n in range(1, 14):
         g = generate(FamilySpec("complete", (n,)))
         assert decide_exhaustive(g).feasible == isinstance(
-            construct_complete(n), Constructed
+            construct(FamilySpec("complete", (n,))), Constructed
         ), n
     for m in range(1, 13):
         for n in range(1, 14 - m):
             g = generate(FamilySpec("complete_bipartite", (m, n)))
             assert decide_exhaustive(g).feasible == isinstance(
-                construct_complete_bipartite(m, n), Constructed
+                construct(FamilySpec("complete_bipartite", (m, n))), Constructed
             ), (m, n)
     for m in range(1, 11):
         for n in range(1, 12 - m):
             g = generate(FamilySpec("bistar", (m, n)))
             assert decide_exhaustive(g).feasible == isinstance(
-                construct_bistar(m, n), Constructed
+                construct(FamilySpec("bistar", (m, n))), Constructed
             ), (m, n)
     _pass(6, "oracle vs analytic agreement")
 
 
 def test_c07_complete_graph_anchors_and_list_report(tmp_path):
-    got = construct_complete(49)
+    got = construct(FamilySpec("complete", (49,)))
     assert isinstance(got, Constructed)
     assert (got.tally.e0, got.tally.e1) == (588, 588)
     for n in (36, 62, 64):
-        assert isinstance(construct_complete(n), Constructed), n
+        assert isinstance(construct(FamilySpec("complete", (n,))), Constructed), n
     for n in (5, 7):
-        assert isinstance(construct_complete(n), Infeasible), n
+        assert isinstance(construct(FamilySpec("complete", (n,))), Infeasible), n
 
     claim = next(c for c in builtin_claims() if c.family == "complete")
     rows = sweep(claim, [(n,) for n in range(1, 101)])

@@ -143,13 +143,13 @@ def test_sweep_analytic_rows_carry_verified_witnesses(family):
     "family,params",
     [("complete", (6,)), ("complete_bipartite", (2, 2)), ("star", (3,)), ("bistar", (6, 6))],
 )
-def test_sweep_analytic_rows_drop_witness_on_request(family, params):
+def test_sweep_analytic_rows_are_feasible(family, params):
     (row,) = sweep(claim_for(family), [params])
     assert row.decider == "analytic"
     assert row.tool_verdict is True
 
 
-def test_sweep_beyond_cap_constructor_row_drops_witness_on_request():
+def test_sweep_large_path_row_is_a_constructor_row():
     (row,) = sweep(claim_for("path"), [(30,)])
     assert row.decider == "constructor"
     assert row.tool_verdict is True

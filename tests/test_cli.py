@@ -160,6 +160,17 @@ def test_decide_witness_output(tmp_path):
     assert rv.returncode == 0
 
 
+def test_decide_out_without_witness_is_an_input_error(tmp_path):
+    g = tmp_path / "g.json"
+    w = tmp_path / "w.json"
+    run_cli("gen", "friendship", "3", "--out", str(g))
+    r = run_cli("decide", "--graph", str(g), "--out", str(w))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: --out: ") and "--witness" in r.stderr
+    assert not w.exists()
+
+
 def test_export_dot_byte_stable(tmp_path):
     g = tmp_path / "g.json"
     f = tmp_path / "f.json"
@@ -215,6 +226,14 @@ def test_sweep_rejects_a_malformed_range(token):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"error: --range: expected LO:HI with integers LO <= HI, got {token!r}\n"
+
+
+def test_sweep_all_rejects_a_range(tmp_path):
+    out = tmp_path / "rows.csv"
+    r = run_cli("sweep", "all", "--range", "1:3", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: --range: ") and "single family" in r.stderr
+    assert not out.exists()
 
 
 def test_sweep_has_no_max_n_flag():

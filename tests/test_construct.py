@@ -15,16 +15,6 @@ from perrin_cordial import (
     SchemeExhaustedError,
     SchemeParams,
     construct,
-    construct_bistar,
-    construct_complete,
-    construct_complete_bipartite,
-    construct_cycle,
-    construct_friendship,
-    construct_jellyfish,
-    construct_path,
-    construct_star,
-    construct_triangular_snake,
-    construct_wheel,
     decide_exhaustive,
     even_count,
     generate,
@@ -37,8 +27,9 @@ from perrin_cordial import (
 E, O = Parity.EVEN, Parity.ODD
 
 
-def _check(got, spec):
-    """The constructor gate re-checked with the independent verifier."""
+def _check(spec):
+    """spec's construction, its gate re-checked with the independent verifier."""
+    got = construct(spec)
     assert isinstance(got, Constructed)
     g = generate(spec)
     assert is_valid(g, got.labeling)
@@ -57,45 +48,45 @@ def _check(got, spec):
 
 
 def test_path_seven_matches_block_scheme():
-    got = _check(construct_path(7), FamilySpec("path", (7,)))
+    got = _check(FamilySpec("path", (7,)))
     assert to_parity(got.labeling) == (E, E, O, E, O, O, O)
     assert got.tally.epsilon == 0
     assert (got.scheme.q1, got.scheme.p1, got.scheme.p2) == (0, 2, 1)
 
 
 def test_path_two_single_edge():
-    got = _check(construct_path(2), FamilySpec("path", (2,)))
+    got = _check(FamilySpec("path", (2,)))
     assert abs(got.tally.epsilon) == 1
 
 
 def test_path_fourteen_pinned():
-    got = _check(construct_path(14), FamilySpec("path", (14,)))
+    got = _check(FamilySpec("path", (14,)))
     assert got.tally.epsilon == 1
     assert got.scheme.p2 == 2
 
 
 @pytest.mark.parametrize("n", list(range(1, 60)))
 def test_paths_always_feasible(n):
-    _check(construct_path(n), FamilySpec("path", (n,)))
+    _check(FamilySpec("path", (n,)))
 
 
 # ---------------------------------------------------------------- cycles
 
 
 def test_cycle_six_infeasible():
-    r = construct_cycle(6)
+    r = construct(FamilySpec("cycle", (6,)))
     assert isinstance(r, Infeasible)
     assert "mod 4" in r.reason
 
 
 def test_cycle_sixteen():
-    got = _check(construct_cycle(16), FamilySpec("cycle", (16,)))
+    got = _check(FamilySpec("cycle", (16,)))
     assert got.tally.epsilon == 0
     assert got.scheme.p2 == 3
 
 
 def test_cycle_five():
-    got = _check(construct_cycle(5), FamilySpec("cycle", (5,)))
+    got = _check(FamilySpec("cycle", (5,)))
     assert to_parity(got.labeling) == (E, E, E, O, O)
     assert got.tally.epsilon == 1
     assert (got.scheme.p1, got.scheme.p2) == (3, 0)
@@ -103,11 +94,11 @@ def test_cycle_five():
 
 @pytest.mark.parametrize("n", list(range(3, 60)))
 def test_cycles_feasible_iff_not_two_mod_four(n):
-    r = construct_cycle(n)
+    spec = FamilySpec("cycle", (n,))
     if n % 4 == 2:
-        assert isinstance(r, Infeasible)
+        assert isinstance(construct(spec), Infeasible)
     else:
-        _check(r, FamilySpec("cycle", (n,)))
+        _check(spec)
 
 
 # -------------------------------------------------------------- complete
@@ -116,14 +107,14 @@ KN_FEASIBLE_100 = {1, 2, 3, 4, 6, 36, 49, 51, 62, 64, 66, 79, 81, 83}
 
 
 def test_complete_49_balanced_split():
-    got = _check(construct_complete(49), FamilySpec("complete", (49,)))
+    got = _check(FamilySpec("complete", (49,)))
     assert (got.tally.e0, got.tally.e1) == (588, 588)
     assert (got.scheme.p1, got.scheme.p2) == (21, 28)
 
 
 def test_complete_trivial_and_infeasible():
-    _check(construct_complete(1), FamilySpec("complete", (1,)))
-    r = construct_complete(5)
+    _check(FamilySpec("complete", (1,)))
+    r = construct(FamilySpec("complete", (5,)))
     assert isinstance(r, Infeasible)
     assert "epsilon=-2" in r.reason and "epsilon=2" in r.reason
 
@@ -139,7 +130,9 @@ def test_complete_verdict_over_hundred_matches_independent_recount():
             got.add(n)
     assert got == KN_FEASIBLE_100
     constructed = {
-        n for n in range(1, 101) if isinstance(construct_complete(n), Constructed)
+        n
+        for n in range(1, 101)
+        if isinstance(construct(FamilySpec("complete", (n,))), Constructed)
     }
     assert constructed == KN_FEASIBLE_100
 
@@ -148,47 +141,37 @@ def test_complete_verdict_over_hundred_matches_independent_recount():
 
 
 def test_bipartite_four_three():
-    got = _check(
-        construct_complete_bipartite(4, 3), FamilySpec("complete_bipartite", (4, 3))
-    )
+    got = _check(FamilySpec("complete_bipartite", (4, 3)))
     assert (got.scheme.p1, got.scheme.p2) == (2, 1)
     assert got.tally.epsilon == 0
 
 
 def test_bipartite_twenty_eight_one_infeasible():
-    r = construct_complete_bipartite(28, 1)
+    r = construct(FamilySpec("complete_bipartite", (28, 1)))
     assert isinstance(r, Infeasible)
 
 
 def test_bipartite_two_two():
-    got = _check(
-        construct_complete_bipartite(2, 2), FamilySpec("complete_bipartite", (2, 2))
-    )
+    got = _check(FamilySpec("complete_bipartite", (2, 2)))
     assert (got.scheme.p1, got.scheme.p2) == (1, 1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_bipartite_excluded_width_is_infeasible(n):
-    assert isinstance(construct_complete_bipartite(6 * n + 22, n), Infeasible)
-    _check(
-        construct_complete_bipartite(6 * n + 24, n),
-        FamilySpec("complete_bipartite", (6 * n + 24, n)),
-    )
-    _check(
-        construct_complete_bipartite(6 * n + 26, n),
-        FamilySpec("complete_bipartite", (6 * n + 26, n)),
-    )
-    assert isinstance(construct_complete_bipartite(6 * n + 28, n), Infeasible)
+    assert isinstance(construct(FamilySpec("complete_bipartite", (6 * n + 22, n))), Infeasible)
+    _check(FamilySpec("complete_bipartite", (6 * n + 24, n)))
+    _check(FamilySpec("complete_bipartite", (6 * n + 26, n)))
+    assert isinstance(construct(FamilySpec("complete_bipartite", (6 * n + 28, n))), Infeasible)
 
 
 def test_star_alias():
-    got = _check(construct_star(7), FamilySpec("star", (7,)))
+    got = _check(FamilySpec("star", (7,)))
     assert got.labeling.domain_max == 8
 
 
 @pytest.mark.parametrize("m,n", [(4, 3), (2, 2), (7, 5), (12, 9), (6, 1)])
 def test_bipartite_emitted_tally_equals_product(m, n):
-    got = construct_complete_bipartite(m, n)
+    got = construct(FamilySpec("complete_bipartite", (m, n)))
     if isinstance(got, Constructed):
         p1, p2 = got.scheme.p1, got.scheme.p2
         assert got.tally.epsilon == (m - 2 * p1) * (n - 2 * p2)
@@ -197,17 +180,17 @@ def test_bipartite_emitted_tally_equals_product(m, n):
 # ---------------------------------------------------------------- wheels
 
 
-def test_wheel_thirteen_uses_pinned_table():
+def test_wheel_thirteen_first_hit_is_the_paper_table_entry():
     # the paper's table entry (5, 2) is the walk's first hit; no table is kept
-    got = _check(construct_wheel(13), FamilySpec("wheel", (13,)))
+    got = _check(FamilySpec("wheel", (13,)))
     assert (got.scheme.p1, got.scheme.p2) == (5, 2)
     assert got.scheme.variant == "scan"
     assert abs(got.tally.epsilon) <= 1
 
 
-def test_wheel_six_direct_tally_beats_heuristic():
+def test_wheel_six_first_hit_has_zero_imbalance():
     # the walk's exact cut puts the first hit at (4, 0), whose real tally is 0
-    got = _check(construct_wheel(6), FamilySpec("wheel", (6,)))
+    got = _check(FamilySpec("wheel", (6,)))
     assert (got.scheme.p1, got.scheme.p2) == (4, 0)
     assert got.tally.epsilon == 0
 
@@ -227,20 +210,20 @@ def test_wheel_figure_labeling_verifies():
 
 @pytest.mark.parametrize("n", list(range(3, 60)))
 def test_wheels_always_feasible(n):
-    _check(construct_wheel(n), FamilySpec("wheel", (n,)))
+    _check(FamilySpec("wheel", (n,)))
 
 
 # ------------------------------------------------------ triangular snakes
 
 
 def test_snake_two_infeasible():
-    r = construct_triangular_snake(2)
+    r = construct(FamilySpec("triangular_snake", (2,)))
     assert isinstance(r, Infeasible)
     assert "even number of odd edges" in r.reason
 
 
 def test_snake_four_and_figure():
-    got = _check(construct_triangular_snake(4), FamilySpec("triangular_snake", (4,)))
+    got = _check(FamilySpec("triangular_snake", (4,)))
     g = generate(FamilySpec("triangular_snake", (4,)))
     fig = PerrinLabeling({0: 1, 1: 4, 2: 6, 3: 3, 4: 9, 5: 0, 6: 2, 7: 7, 8: 5}, 9)
     assert is_valid(g, fig)
@@ -251,7 +234,7 @@ def test_snake_four_and_figure():
 
 
 def test_snake_seven_pinned():
-    got = _check(construct_triangular_snake(7), FamilySpec("triangular_snake", (7,)))
+    got = _check(FamilySpec("triangular_snake", (7,)))
     assert got.scheme.p2 == 1
     assert got.scheme.skip is O
     assert got.tally.epsilon == 1
@@ -259,18 +242,18 @@ def test_snake_seven_pinned():
 
 @pytest.mark.parametrize("n", list(range(1, 40)))
 def test_snakes_feasible_iff_not_two_mod_four(n):
-    r = construct_triangular_snake(n)
+    spec = FamilySpec("triangular_snake", (n,))
     if n % 4 == 2:
-        assert isinstance(r, Infeasible)
+        assert isinstance(construct(spec), Infeasible)
     else:
-        _check(r, FamilySpec("triangular_snake", (n,)))
+        _check(spec)
 
 
 # ------------------------------------------------------------ friendship
 
 
 def test_friendship_four_and_figure():
-    _check(construct_friendship(4), FamilySpec("friendship", (4,)))
+    _check(FamilySpec("friendship", (4,)))
     g = generate(FamilySpec("friendship", (4,)))
     fig = PerrinLabeling({0: 1, 1: 0, 2: 5, 3: 3, 4: 2, 5: 9, 6: 7, 7: 6, 8: 4}, 9)
     assert is_valid(g, fig)
@@ -279,37 +262,37 @@ def test_friendship_four_and_figure():
 
 
 def test_friendship_six_infeasible():
-    assert isinstance(construct_friendship(6), Infeasible)
+    assert isinstance(construct(FamilySpec("friendship", (6,))), Infeasible)
 
 
 def test_friendship_seven_pinned():
-    got = _check(construct_friendship(7), FamilySpec("friendship", (7,)))
+    got = _check(FamilySpec("friendship", (7,)))
     assert got.scheme.p1 == 2
     assert got.tally.epsilon == 1
 
 
 @pytest.mark.parametrize("n", list(range(1, 40)))
 def test_friendships_feasible_iff_not_two_mod_four(n):
-    r = construct_friendship(n)
+    spec = FamilySpec("friendship", (n,))
     if n % 4 == 2:
-        assert isinstance(r, Infeasible)
+        assert isinstance(construct(spec), Infeasible)
     else:
-        _check(r, FamilySpec("friendship", (n,)))
+        _check(spec)
 
 
 # -------------------------------------------------------------- bistars
 
 
 def test_bistar_examples():
-    got = _check(construct_bistar(6, 6), FamilySpec("bistar", (6, 6)))
+    got = _check(FamilySpec("bistar", (6, 6)))
     assert got.tally.epsilon == 1
     assert got.scheme.p1 + got.scheme.p2 == 6  # evens used = even_count(14) - 1
     assert got.scheme.variant == "both-apexes-odd"
 
-    got = _check(construct_bistar(1, 1), FamilySpec("bistar", (1, 1)))
+    got = _check(FamilySpec("bistar", (1, 1)))
     assert got.tally.epsilon == -1
 
-    got = _check(construct_bistar(13, 12), FamilySpec("bistar", (13, 12)))
+    got = _check(FamilySpec("bistar", (13, 12)))
     assert got.tally.epsilon == 0
     assert got.scheme.skip is O
 
@@ -317,7 +300,7 @@ def test_bistar_examples():
 def test_bistar_sum_three_needs_mixed_apexes():
     # the odd-apexes scheme cannot reach m+n = 3, yet B_{1,2} is cordial
     for m, n in ((1, 2), (2, 1)):
-        got = _check(construct_bistar(m, n), FamilySpec("bistar", (m, n)))
+        got = _check(FamilySpec("bistar", (m, n)))
         assert got.scheme.variant != "both-apexes-odd"
 
 
@@ -326,7 +309,7 @@ def test_bistar_grid_matches_scheme_reach():
     # everything except sum 3
     for total in list(range(2, 27)) + [28, 29, 30, 32, 36]:
         for m in range(1, total):
-            got = _check(construct_bistar(m, total - m), FamilySpec("bistar", (m, total - m)))
+            got = _check(FamilySpec("bistar", (m, total - m)))
             if total != 3:
                 assert got.scheme.variant == "both-apexes-odd", (m, total - m)
 
@@ -335,20 +318,20 @@ def test_bistar_grid_matches_scheme_reach():
 
 
 def test_jellyfish_seven_seven():
-    got = _check(construct_jellyfish(7, 7), FamilySpec("jellyfish", (7, 7)))
+    got = _check(FamilySpec("jellyfish", (7, 7)))
     assert got.scheme.p2 == 3
     assert got.tally.epsilon == -1
     assert got.scheme.variant == "internal-evens=v1,v3"
 
 
 def test_jellyfish_empty():
-    got = _check(construct_jellyfish(0, 0), FamilySpec("jellyfish", (0, 0)))
+    got = _check(FamilySpec("jellyfish", (0, 0)))
     assert got.tally.epsilon == -1
 
 
 def test_jellyfish_lopsided_needs_mirror_scheme():
     # J(0,1) defeats both pinned schemes; the mirrored combination works
-    got = _check(construct_jellyfish(0, 1), FamilySpec("jellyfish", (0, 1)))
+    got = _check(FamilySpec("jellyfish", (0, 1)))
     assert abs(got.tally.epsilon) <= 1
 
 
@@ -372,7 +355,7 @@ def test_jellyfish_figure_labeling_is_rejected():
 @pytest.mark.parametrize("m1", range(0, 12))
 @pytest.mark.parametrize("m2", range(0, 12))
 def test_jellyfish_small_grid(m1, m2):
-    _check(construct_jellyfish(m1, m2), FamilySpec("jellyfish", (m1, m2)))
+    _check(FamilySpec("jellyfish", (m1, m2)))
 
 
 def test_construct_dispatch():
@@ -401,22 +384,23 @@ def _blow_up(sizes, cliques, joins):
 
 
 @pytest.mark.parametrize(
-    "build,params",
+    "family,params",
     [
-        (construct_complete, (1,)),
-        (construct_complete, (5,)),
-        (construct_complete_bipartite, (1, 1)),
-        (construct_complete_bipartite, (4, 3)),
-        (construct_star, (1,)),
-        (construct_star, (6,)),
-        (construct_bistar, (1, 1)),
-        (construct_bistar, (3, 5)),
-        (construct_jellyfish, (0, 0)),
-        (construct_jellyfish, (0, 3)),
-        (construct_jellyfish, (4, 2)),
+        ("complete", (1,)),
+        ("complete", (5,)),
+        ("complete_bipartite", (1, 1)),
+        ("complete_bipartite", (4, 3)),
+        ("star", (1,)),
+        ("star", (6,)),
+        ("bistar", (1, 1)),
+        ("bistar", (3, 5)),
+        ("jellyfish", (0, 0)),
+        ("jellyfish", (0, 3)),
+        ("jellyfish", (4, 2)),
     ],
+    ids=lambda v: f"construct_{v}" if isinstance(v, str) else None,
 )
-def test_declared_class_quotient_matches_edges(build, params, monkeypatch):
+def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
     scan, seen = _construct._class_scan, []
 
     def recording(spec, sizes, scheme, cliques=(), joins=(), **rest):
@@ -424,7 +408,7 @@ def test_declared_class_quotient_matches_edges(build, params, monkeypatch):
         return scan(spec, sizes, scheme, cliques=cliques, joins=joins, **rest)
 
     monkeypatch.setattr(_construct, "_class_scan", recording)
-    build(*params)
+    construct(FamilySpec(family, params))
     ((spec, sizes, cliques, joins),) = seen
     g = generate(spec)
     assert sum(sizes) == g.vertex_count

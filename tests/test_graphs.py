@@ -161,6 +161,24 @@ def test_unknown_family_and_arity_rejected():
         FamilySpec("path", (3, 4))
 
 
+@pytest.mark.parametrize(
+    "family,params,bad",
+    [
+        ("path", (2.7,), "2.7"),
+        ("path", (3.0,), "3.0"),
+        ("cycle", ("3",), "'3'"),
+        ("star", (True,), "True"),
+        ("complete_bipartite", (2, 1.5), "1.5"),
+        ("jellyfish", (False, 3), "False"),
+    ],
+)
+def test_non_integer_parameters_rejected(family, params, bad):
+    # a float, string or bool is never truncated to an int size
+    with pytest.raises(FamilyParameterError) as err:
+        FamilySpec(family, params)
+    assert family in str(err.value) and bad in str(err.value)
+
+
 def test_graph_rejects_loops_duplicates_and_range():
     with pytest.raises(ValueError):
         Graph(3, ((0, 0),))

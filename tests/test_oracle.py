@@ -14,11 +14,7 @@ from perrin_cordial import (
     GraphTooLargeError,
     Parity,
     SearchConfig,
-    construct_bistar,
-    construct_complete,
-    construct_complete_bipartite,
-    construct_jellyfish,
-    construct_star,
+    construct,
     decide_exhaustive,
     decide_parity,
     even_count,
@@ -57,7 +53,7 @@ def test_cycle_three_feasible_with_verified_witness():
 
 def test_complete_five_matches_analytic_exhaustion():
     assert not _decide("complete", (5,)).feasible
-    assert not isinstance(construct_complete(5), Constructed)
+    assert not _built("complete", (5,))
 
 
 def test_witness_suppression():
@@ -100,12 +96,12 @@ def test_verdict_invariant_under_relabeling(g, rnd):
 
 def test_agreement_with_complete_analytic():
     for n in range(1, 14):
-        analytic = isinstance(construct_complete(n), Constructed)
+        analytic = _built("complete", (n,))
         assert _decide("complete", (n,)).feasible == analytic, n
 
 
-def _built(got):
-    return isinstance(got, Constructed)
+def _built(family, params):
+    return isinstance(construct(FamilySpec(family, params)), Constructed)
 
 
 def test_agreement_with_bipartite_analytic():
@@ -113,7 +109,7 @@ def test_agreement_with_bipartite_analytic():
         for n in range(1, 14 - m):
             assert (
                 _decide("complete_bipartite", (m, n)).feasible
-                == _built(construct_complete_bipartite(m, n))
+                == _built("complete_bipartite", (m, n))
             ), (m, n)
 
 
@@ -121,28 +117,28 @@ def test_agreement_with_bistar_full():
     for m in range(1, 11):
         for n in range(1, 12 - m):
             assert (
-                _decide("bistar", (m, n)).feasible == _built(construct_bistar(m, n))
+                _decide("bistar", (m, n)).feasible == _built("bistar", (m, n))
             ), (m, n)
 
 
 def test_agreement_with_star_scan():
     for n in range(1, 14):
-        assert _decide("star", (n,)).feasible == _built(construct_star(n)), n
+        assert _decide("star", (n,)).feasible == _built("star", (n,)), n
 
 
 def test_agreement_with_jellyfish_scan():
     for m1 in range(0, 11):
         for m2 in range(0, 11 - m1):
             assert (
-                _decide("jellyfish", (m1, m2)).feasible == _built(construct_jellyfish(m1, m2))
+                _decide("jellyfish", (m1, m2)).feasible == _built("jellyfish", (m1, m2))
             ), (m1, m2)
 
 
 def test_bipartite_examples():
-    assert _built(construct_complete_bipartite(1, 1))
-    assert _built(construct_complete_bipartite(4, 3))
-    assert not _built(construct_complete_bipartite(28, 1))
-    got = construct_complete_bipartite(2, 2)
+    assert _built("complete_bipartite", (1, 1))
+    assert _built("complete_bipartite", (4, 3))
+    assert not _built("complete_bipartite", (28, 1))
+    got = construct(FamilySpec("complete_bipartite", (2, 2)))
     g = generate(FamilySpec("complete_bipartite", (2, 2)))
     assert is_valid(g, got.labeling) and is_cordial(tally(g, to_parity(got.labeling)))
 
@@ -150,22 +146,22 @@ def test_bipartite_examples():
 def test_star_twenty_five_is_feasible_despite_claim():
     # the claimed star list excludes 25, but the product-identity scan
     # finds an admissible split; the odd-by-odd bound (26 <= 40) agrees
-    assert _built(construct_complete_bipartite(1, 25))
-    assert _built(construct_star(25))
+    assert _built("complete_bipartite", (1, 25))
+    assert _built("star", (25,))
 
 
 def test_bistar_full_examples():
-    assert _built(construct_bistar(6, 6))
-    assert _built(construct_bistar(2, 1))
-    got = construct_bistar(20, 20)  # sum 40, beyond the claimed bound
-    assert _built(got)
+    assert _built("bistar", (6, 6))
+    assert _built("bistar", (2, 1))
+    got = construct(FamilySpec("bistar", (20, 20)))  # sum 40, beyond the claimed bound
+    assert isinstance(got, Constructed)
     g = generate(FamilySpec("bistar", (20, 20)))
     assert is_valid(g, got.labeling) and is_cordial(tally(g, to_parity(got.labeling)))
 
 
 def test_bistar_full_finds_mixed_apex_solutions():
     # sum 3 is unreachable with both apexes odd
-    assert _built(construct_bistar(1, 2))
+    assert _built("bistar", (1, 2))
     assert _decide("bistar", (1, 2)).feasible
 
 
