@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="check built-in claims over a parameter grid")
     p.add_argument("family", help="family name, or 'all' for every built-in claim")
-    p.add_argument("--range", nargs="*", metavar="LO:HI", help="one span per parameter")
+    p.add_argument("--range", nargs="+", metavar="LO:HI", help="one span per parameter")
     p.add_argument("--format", choices=("csv", "md"), default="csv")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--witness-dir", metavar="DIR")

@@ -108,13 +108,13 @@ def read_graph(text: str) -> Graph:
 
 
 def write_labeling(f: PerrinLabeling) -> str:
-    doc = {
-        "domain_max": f.domain_max,
-        "assignment": [
-            {"vertex": v, "index": f.assignment[v]} for v in sorted(f.assignment)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes of json.dumps(doc, indent=2) + "\\n", without its pure-Python encoder."""
+    entries = ",\n".join(
+        f'    {{\n      "vertex": {v},\n      "index": {f.assignment[v]}\n    }}'
+        for v in sorted(f.assignment)
+    )
+    listed = f"[\n{entries}\n  ]" if entries else "[]"
+    return f'{{\n  "domain_max": {f.domain_max},\n  "assignment": {listed}\n}}\n'
 
 
 def read_labeling(text: str) -> PerrinLabeling:

@@ -31,3 +31,46 @@ def is_connected(g) -> bool:
                 seen.add(y)
                 stack.append(y)
     return len(seen) == g.vertex_count
+
+
+def search_size_reference(n, k, adj, deg, edge_total):
+    """First k-subset (ascending-lex) with ||E| - 2 cut| <= 1, one set at a time.
+
+    The depth-first search the package used before its packed block search:
+    returns (hit_or_None, sets_examined), the hit's 1-based position when
+    there is one.
+    """
+    examined = 0
+    hit = None
+
+    def rec(start, chosen, mask, degsum, within):
+        nonlocal examined, hit
+        remaining = k - len(chosen)
+        if remaining == 0:
+            examined += 1
+            cut = degsum - 2 * within
+            if abs(edge_total - 2 * cut) <= 1:
+                hit = tuple(chosen)
+                return True
+            return False
+        if remaining == 1:
+            # last vertex: one leaf per v, scanned inline instead of recursing
+            base = degsum - 2 * within
+            for v in range(start, n):
+                cut = base + deg[v] - 2 * (adj[v] & mask).bit_count()
+                if abs(edge_total - 2 * cut) <= 1:
+                    examined += v - start + 1
+                    hit = (*chosen, v)
+                    return True
+            examined += n - start
+            return False
+        for v in range(start, n - remaining + 1):
+            gained = (adj[v] & mask).bit_count()
+            chosen.append(v)
+            if rec(v + 1, chosen, mask | (1 << v), degsum + deg[v], within + gained):
+                return True
+            chosen.pop()
+        return False
+
+    rec(0, [], 0, 0, 0)
+    return hit, examined

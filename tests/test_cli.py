@@ -236,6 +236,14 @@ def test_sweep_all_rejects_a_range(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_range_without_spans_is_an_input_error(tmp_path):
+    out = tmp_path / "rows.csv"
+    r = run_cli("sweep", "cycle", "--range", "--out", str(out))
+    assert r.returncode == 2
+    assert "argument --range: expected at least one argument" in r.stderr
+    assert not out.exists()
+
+
 def test_sweep_has_no_max_n_flag():
     r = run_cli("sweep", "cycle", "--max-n", "6")
     assert r.returncode == 2

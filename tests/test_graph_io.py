@@ -1,6 +1,10 @@
 """JSON round trips, format diagnostics, and DOT export."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perrin_cordial import (
     FamilySpec,
@@ -44,6 +48,39 @@ def test_labeling_round_trip(spec):
     f = got.labeling
     back = read_labeling(write_labeling(f))
     assert back == f
+
+
+def _json_text(f):
+    doc = {
+        "domain_max": f.domain_max,
+        "assignment": [{"vertex": v, "index": f.assignment[v]} for v in sorted(f.assignment)],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PerrinLabeling(assignment={}, domain_max=0),
+        PerrinLabeling(assignment={}, domain_max=7),
+        PerrinLabeling(assignment={0: 0}, domain_max=1),
+        PerrinLabeling(assignment={0: 1}, domain_max=1),
+    ],
+)
+def test_labeling_bytes_match_json_dumps_small(f):
+    assert write_labeling(f) == _json_text(f)
+
+
+@given(st.dictionaries(st.integers(0, 10**6), st.integers(-5, 10**6), max_size=40), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_labeling_bytes_match_json_dumps(assignment, domain_max):
+    f = PerrinLabeling(assignment=assignment, domain_max=domain_max)
+    assert write_labeling(f) == _json_text(f)
+
+
+def test_labeling_bytes_match_json_dumps_on_a_constructed_path():
+    f = construct(FamilySpec("path", (1000,))).labeling
+    assert write_labeling(f) == _json_text(f)
 
 
 def test_graph_json_shape():

@@ -14,6 +14,7 @@ from perrin_cordial import (
     GraphTooLargeError,
     Parity,
     SearchConfig,
+    Verdict,
     construct,
     decide_exhaustive,
     decide_parity,
@@ -22,9 +23,12 @@ from perrin_cordial import (
     generate,
     is_cordial,
     is_valid,
+    realize,
     tally,
     to_parity,
 )
+from perrin_cordial.oracle import _adjacency_masks, _pack, _search_size
+from oracles import search_size_reference
 from strategies import graphs
 
 
@@ -280,3 +284,81 @@ def test_searched_is_position_in_combinations_order(g):
     if v.feasible:
         pattern = to_parity(v.witness)
         assert {u for u in range(n) if pattern[u] is Parity.EVEN} == witness_set
+
+
+def _reference_verdict(g):
+    # the whole decide_exhaustive verdict, rebuilt from the reference search
+    n = g.vertex_count
+    adj = _adjacency_masks(g)
+    deg = [a.bit_count() for a in adj]
+    sizes = feasible_even_counts(n)
+    searched = 0
+    for k in sizes:
+        hit, examined = search_size_reference(n, k, adj, deg, g.edge_count)
+        searched += examined
+        if hit is not None:
+            pattern = tuple(Parity.EVEN if v in hit else Parity.ODD for v in range(n))
+            return Verdict(feasible=True, witness=realize(g, pattern), searched=searched)
+    return Verdict(
+        feasible=False,
+        searched=searched,
+        reason=f"no even-vertex set of size in {sizes} balances the edge labels",
+    )
+
+
+@given(graphs(min_n=0, max_n=16))
+@settings(max_examples=150, deadline=None)
+def test_block_search_matches_the_one_set_at_a_time_reference(g):
+    # n <= 8 leaves every vertex high; n > 8 gives a non-empty low part
+    n, m = g.vertex_count, g.edge_count
+    adj = _adjacency_masks(g)
+    deg = [a.bit_count() for a in adj]
+    packed = _pack(n, adj, deg, m)
+    for k in feasible_even_counts(n):
+        assert _search_size(n, k, adj, deg, m, packed) == search_size_reference(n, k, adj, deg, m)
+    assert decide_exhaustive(g) == _reference_verdict(g)
+
+
+def _even_set(v):
+    pattern = to_parity(v.witness)
+    return {u for u in range(len(pattern)) if pattern[u] is Parity.EVEN}
+
+
+def test_complete_24_exhausts_both_sizes():
+    # the largest cuts the search meets: k (24 - k) never equals |E| / 2 = 138
+    v = decide_exhaustive(generate(FamilySpec("complete", (24,))))
+    assert not v.feasible
+    assert v.searched == comb(24, 11) + comb(24, 12) == 5_200_300
+
+
+def test_edgeless_24_takes_the_first_set():
+    # every cut is 0, so the first 11-set, all in the low part, balances
+    v = decide_exhaustive(Graph(24, ()))
+    assert v.feasible and v.searched == 1
+    assert _even_set(v) == set(range(11))
+
+
+def test_cycle_22_proof_counts_every_set():
+    v = decide_exhaustive(generate(FamilySpec("cycle", (22,))))
+    assert not v.feasible
+    assert v.searched == comb(22, 9) + comb(22, 10) == 1_144_066
+
+
+def test_hit_in_a_single_set_block():
+    # triangular_snake(9) has 19 vertices, low part 0..10: the hit is the
+    # third 9-set and has no high vertex
+    g = generate(FamilySpec("triangular_snake", (9,)))
+    v = decide_exhaustive(g)
+    assert _even_set(v) == {0, 1, 2, 3, 4, 5, 6, 7, 10}
+    assert v == _reference_verdict(g)
+    assert v.searched == 3
+
+
+def test_hit_inside_a_multi_set_block():
+    # path(13), low part 0..4: the hit takes the high pair {6, 12}, the 13th
+    # of the 28 pairs in the block of {0, 1, 2, 4}
+    g = generate(FamilySpec("path", (13,)))
+    v = decide_exhaustive(g)
+    assert _even_set(v) == {0, 1, 2, 4, 6, 12}
+    assert v == _reference_verdict(g)
+    assert v.searched == 49
