@@ -18,7 +18,7 @@ from .construct import Infeasible, construct
 from .graph_io import FormatError, export_dot, read_graph, read_labeling, write_graph, write_labeling
 from .graphs import FamilyParameterError, FamilySpec, generate
 from .labeling import is_cordial, is_valid, tally, to_parity
-from .oracle import GraphTooLargeError, SearchConfig, decide_exhaustive, decide_parity
+from .oracle import SearchConfig, decide_exhaustive, decide_parity
 from .perrin import Parity, perrin_parity, perrin_value
 
 _FAMILY_ALIASES = {
@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, FamilyParameterError, GraphTooLargeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

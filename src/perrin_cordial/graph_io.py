@@ -2,14 +2,16 @@
 
 Parsing is strict but purely structural: a labeling file with a duplicate
 index parses fine and fails later at verification, so format errors and
-semantic failures surface through different exit paths.
+semantic failures surface through different exit paths.  read_graph checks
+each edge and role of a graph file once and stores the graph through
+generate's trusted path, so Graph(...) does not check it again.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graphs import FamilySpec, Graph
+from .graphs import ROLES, FamilySpec, Graph, _trusted
 from .labeling import PerrinLabeling, is_valid, to_parity
 from .perrin import Parity
 
@@ -67,23 +69,29 @@ def read_graph(text: str) -> Graph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise FormatError("edges", "expected a list of [u, v] pairs")
-    edges = []
+    most = n * (n - 1) // 2
+    if len(raw_edges) > most:
+        raise FormatError("edges", f"{len(raw_edges)} listed, but a simple graph on {n} vertices has at most {most}")
+    first: dict[tuple[int, int], int] = {}
     for i, e in enumerate(raw_edges):
-        if not (isinstance(e, list) and len(e) == 2):
+        if type(e) is not list or len(e) != 2:
             raise FormatError(f"edges[{i}]", f"expected a [u, v] pair, got {e!r}")
-        u = _require_int(e[0], f"edges[{i}][0]")
-        v = _require_int(e[1], f"edges[{i}][1]")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            k = 0 if type(u) is not int else 1
+            raise FormatError(f"edges[{i}][{k}]", f"expected an integer, got {e[k]!r}")
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edges[{i}]", f"edge [{u}, {v}] out of range 0..{n - 1}")
         if u == v:
             raise FormatError(f"edges[{i}]", f"self-loop at vertex {u}")
-        edges.append((u, v))
-    roles = None
+        pair = (u, v) if u < v else (v, u)
+        if first.setdefault(pair, i) != i:
+            raise FormatError(f"edges[{i}]", f"duplicate of edges[{first[pair]}], edge {pair}")
+    roles = ["generic"] * n
     if "roles" in doc and doc["roles"] is not None:
         raw_roles = doc["roles"]
         if not isinstance(raw_roles, dict):
             raise FormatError("roles", "expected an object mapping vertex id to role")
-        roles = ["generic"] * n
         for key, val in raw_roles.items():
             try:
                 v = int(key)
@@ -92,6 +100,9 @@ def read_graph(text: str) -> Graph:
             if not (0 <= v < n):
                 raise FormatError(f"roles[{key!r}]", f"vertex {v} out of range 0..{n - 1}")
             roles[v] = val
+        for r in roles:
+            if r not in ROLES:
+                raise FormatError("graph", f"unknown role {r!r}")
     family = None
     if "family" in doc and doc["family"] is not None:
         fam = doc["family"]
@@ -101,10 +112,7 @@ def read_graph(text: str) -> Graph:
             raise FormatError("family.params", f"expected a list of integers, got {fam['params']!r}")
         params = tuple(_require_int(p, "family.params") for p in fam["params"])
         family = FamilySpec(fam["name"], params)
-    try:
-        return Graph(n, tuple(edges), tuple(roles) if roles else (), family)
-    except ValueError as exc:
-        raise FormatError("graph", str(exc))
+    return _trusted(sorted(first), tuple(roles), family)
 
 
 def write_labeling(f: PerrinLabeling) -> str:
@@ -131,8 +139,10 @@ def read_labeling(text: str) -> PerrinLabeling:
     for i, entry in enumerate(raw):
         if not (isinstance(entry, dict) and "vertex" in entry and "index" in entry):
             raise FormatError(f"assignment[{i}]", f"expected {{vertex, index}}, got {entry!r}")
-        v = _require_int(entry["vertex"], f"assignment[{i}].vertex")
-        idx = _require_int(entry["index"], f"assignment[{i}].index")
+        v, idx = entry["vertex"], entry["index"]
+        if type(v) is not int or type(idx) is not int:
+            key = "vertex" if type(v) is not int else "index"
+            raise FormatError(f"assignment[{i}].{key}", f"expected an integer, got {entry[key]!r}")
         if v in assignment:
             raise FormatError(f"assignment[{i}]", f"vertex {v} listed twice")
         assignment[v] = idx

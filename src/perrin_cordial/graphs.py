@@ -18,10 +18,10 @@ byte-for-byte:
                           m1 pendants 4..m1+3 on vertex 2,
                           m2 pendants m1+4..m1+m2+3 on vertex 3
 
-Validation is for graphs that come from outside: a direct Graph(...) and
-read_graph check every edge and role.  generate lists its edges already
-normalized and sorted, so it stores them unchecked; they are correct by
-construction, and a test rebuilds them through Graph(...) over a grid.
+generate and read_graph store graphs through one trusted path that checks
+nothing: generate's edges are normalized and sorted by construction (a test
+rebuilds them through Graph(...) over a grid), and read_graph checks each
+edge and role of a file once, itself.  Only a direct Graph(...) re-checks.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class Graph:
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
     sorted order, so iteration is deterministic.  The constructor
     validates: no loops, duplicates or out-of-range endpoints, one known
-    role per vertex.  Graphs from generate skip it (see the module
-    docstring).
+    role per vertex.  Graphs from generate and read_graph skip it (see
+    the module docstring).
     """
 
     vertex_count: int
@@ -121,9 +121,9 @@ class Graph:
         return len(self.edges)
 
 
-def _trusted(edges: list[tuple[int, int]], roles: tuple[str, ...], spec: FamilySpec) -> Graph:
-    """generate's graph, stored as built: one role per vertex, and edges
-    with u < v, distinct and in sorted order.  Nothing is checked here."""
+def _trusted(edges: list[tuple[int, int]], roles: tuple[str, ...], spec: FamilySpec | None) -> Graph:
+    """A graph from generate or read_graph, stored as given: one known role per
+    vertex, edges with u < v, distinct and in sorted order.  Nothing is checked."""
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", len(roles))
     object.__setattr__(g, "edges", tuple(edges))

@@ -131,6 +131,15 @@ def test_decide_exit_codes(tmp_path):
     assert "capped at 24" in r.stderr
 
 
+def test_decide_rejects_more_edges_than_a_simple_graph_has(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertex_count": 3, "edges": [[0, 1], [1, 2], [0, 2], [2, 1]]}))
+    r = run_cli("decide", "--graph", str(g))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: edges: 4 listed, but a simple graph on 3 vertices has at most 3\n"
+
+
 def test_decide_has_no_parallel_flag(tmp_path):
     g = tmp_path / "g.json"
     run_cli("gen", "cycle", "8", "--out", str(g))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perrin_cordial import (
     FamilySpec,
     FormatError,
+    Graph,
     PerrinLabeling,
     construct,
     Constructed,
@@ -20,6 +21,8 @@ from perrin_cordial import (
     write_graph,
     write_labeling,
 )
+
+from strategies import graph_json
 
 ALL_SPECS = [
     FamilySpec("path", (6,)),
@@ -96,6 +99,64 @@ def test_edge_out_of_range_diagnostic():
     with pytest.raises(FormatError) as err:
         read_graph('{"vertex_count": 3, "edges": [[0, 5]]}')
     assert "edges[0]" in str(err.value)
+
+
+@given(graph_json())
+@settings(max_examples=300, deadline=None)
+def test_read_graph_equals_graph_of_the_same_content(case):
+    text, (n, edges, roles, family) = case
+    assert read_graph(text) == Graph(n, edges, roles, family)
+
+
+# one fault per file: (vertex_count, edges, roles, field, message)
+GRAPH_FAULTS = [
+    (3, [[0, 1], 5], None, "edges[1]", "expected a [u, v] pair, got 5"),
+    (3, [[0]], None, "edges[0]", "expected a [u, v] pair, got [0]"),
+    (3, [[0, 1, 2]], None, "edges[0]", "expected a [u, v] pair, got [0, 1, 2]"),
+    (3, [[True, 1]], None, "edges[0][0]", "expected an integer, got True"),
+    (3, [[0, False]], None, "edges[0][1]", "expected an integer, got False"),
+    (3, [[0, 1.0]], None, "edges[0][1]", "expected an integer, got 1.0"),
+    (3, [["0", 1]], None, "edges[0][0]", "expected an integer, got '0'"),
+    (3, [[0, 3]], None, "edges[0]", "edge [0, 3] out of range 0..2"),
+    (3, [[-1, 2]], None, "edges[0]", "edge [-1, 2] out of range 0..2"),
+    (3, [[0, 1], [2, 2]], None, "edges[1]", "self-loop at vertex 2"),
+    (3, [[0, 1], [1, 2], [1, 0]], None, "edges[2]", "duplicate of edges[0], edge (0, 1)"),
+    (3, [[0, 1]], {"1": "captain"}, "graph", "unknown role 'captain'"),
+    (3, [[0, 1], [1, 2], [0, 2], [2, 0]], None, "edges", "4 listed, but a simple graph on 3 vertices has at most 3"),
+    (2, [[0, 1], [1, 0]], None, "edges", "2 listed, but a simple graph on 2 vertices has at most 1"),
+]
+
+
+@pytest.mark.parametrize("n,edges,roles,field,message", GRAPH_FAULTS)
+def test_graph_fault_table(n, edges, roles, field, message):
+    doc = {"vertex_count": n, "edges": edges}
+    if roles is not None:
+        doc["roles"] = roles
+    with pytest.raises(FormatError) as err:
+        read_graph(json.dumps(doc))
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
+
+
+def test_first_faulty_edge_in_list_order_is_reported():
+    # the duplicate at edges[1] comes before the out-of-range edges[2]
+    with pytest.raises(FormatError) as err:
+        read_graph('{"vertex_count": 3, "edges": [[0, 1], [1, 0], [0, 7]]}')
+    assert str(err.value) == "edges[1]: duplicate of edges[0], edge (0, 1)"
+
+
+@pytest.mark.parametrize(
+    "entry,field,shown",
+    [
+        ('{"vertex": true, "index": 0}', "assignment[0].vertex", "True"),
+        ('{"vertex": 0, "index": 1.5}', "assignment[0].index", "1.5"),
+        ('{"vertex": "0", "index": "1"}', "assignment[0].vertex", "'0'"),
+    ],
+)
+def test_labeling_entry_must_hold_integers(entry, field, shown):
+    with pytest.raises(FormatError) as err:
+        read_labeling('{"domain_max": 2, "assignment": [%s]}' % entry)
+    assert str(err.value) == f"{field}: expected an integer, got {shown}"
 
 
 def test_malformed_json_diagnostic():
