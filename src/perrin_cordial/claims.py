@@ -42,9 +42,6 @@ class Claim:
     source: str
     predicate: Callable[[tuple[int, ...]], Optional[bool]]
 
-    def paper_verdict(self, params: tuple[int, ...]) -> Optional[bool]:
-        return self.predicate(params)
-
 
 @dataclass(frozen=True)
 class ClaimCheckRow:
@@ -170,7 +167,7 @@ def sweep(claim: Claim, grid: Iterable[tuple[int, ...]] | None = None) -> list[C
     rows = []
     for params in points:
         spec = FamilySpec(claim.family, params)
-        paper = claim.paper_verdict(spec.params)
+        paper = claim.predicate(spec.params)
         tool, decider, witness = _tool_verdict(spec)
         rows.append(
             ClaimCheckRow(

@@ -3,15 +3,17 @@
 Parsing is strict but purely structural: a labeling file with a duplicate
 index parses fine and fails later at verification, so format errors and
 semantic failures surface through different exit paths.  read_graph checks
-each edge and role of a graph file once and stores the graph through
-generate's trusted path, so Graph(...) does not check it again.
+each edge of a graph file once and stores the graph through generate's
+trusted path, so Graph(...) does not check it again.  A graph file holds
+vertex_count, edges and an optional family; any other key, such as the
+roles map that older files carry, is ignored.
 """
 
 from __future__ import annotations
 
 import json
 
-from .graphs import ROLES, FamilySpec, Graph, _trusted
+from .graphs import FamilySpec, Graph, _trusted
 from .labeling import PerrinLabeling, is_valid, to_parity
 from .perrin import Parity
 
@@ -20,8 +22,9 @@ from .perrin import Parity
 EVEN_COLOR = "red"
 ODD_COLOR = "black"
 
-# largest vertex_count read_graph accepts, checked before anything is
-# allocated per vertex (the default roles alone take 8 bytes a vertex)
+# largest vertex_count read_graph accepts; read_graph allocates nothing per
+# vertex, but decide_parity's degree list, is_valid's vertex set and
+# export_dot's per-vertex lines do
 _VERTEX_COUNT_MAX = 10_000_000
 
 
@@ -49,12 +52,11 @@ def _require_int(obj: object, field: str) -> int:
 def write_graph(g: Graph) -> str:
     doc: dict = {
         "vertex_count": g.vertex_count,
-        "edges": [list(e) for e in g.edges],
-        "roles": {str(v): g.roles[v] for v in range(g.vertex_count)},
+        "edges": g.edges,
     }
     if g.family is not None:
-        doc["family"] = {"name": g.family.name, "params": list(g.family.params)}
-    return json.dumps(doc, indent=2) + "\n"
+        doc["family"] = {"name": g.family.name, "params": g.family.params}
+    return json.dumps(doc) + "\n"
 
 
 def read_graph(text: str) -> Graph:
@@ -87,22 +89,6 @@ def read_graph(text: str) -> Graph:
         pair = (u, v) if u < v else (v, u)
         if first.setdefault(pair, i) != i:
             raise FormatError(f"edges[{i}]", f"duplicate of edges[{first[pair]}], edge {pair}")
-    roles = ["generic"] * n
-    if "roles" in doc and doc["roles"] is not None:
-        raw_roles = doc["roles"]
-        if not isinstance(raw_roles, dict):
-            raise FormatError("roles", "expected an object mapping vertex id to role")
-        for key, val in raw_roles.items():
-            try:
-                v = int(key)
-            except ValueError:
-                raise FormatError(f"roles[{key!r}]", "vertex key must be an integer")
-            if not (0 <= v < n):
-                raise FormatError(f"roles[{key!r}]", f"vertex {v} out of range 0..{n - 1}")
-            roles[v] = val
-        for r in roles:
-            if r not in ROLES:
-                raise FormatError("graph", f"unknown role {r!r}")
     family = None
     if "family" in doc and doc["family"] is not None:
         fam = doc["family"]
@@ -112,7 +98,7 @@ def read_graph(text: str) -> Graph:
             raise FormatError("family.params", f"expected a list of integers, got {fam['params']!r}")
         params = tuple(_require_int(p, "family.params") for p in fam["params"])
         family = FamilySpec(fam["name"], params)
-    return _trusted(sorted(first), tuple(roles), family)
+    return _trusted(n, sorted(first), family)
 
 
 def write_labeling(f: PerrinLabeling) -> str:

@@ -18,17 +18,17 @@ byte-for-byte:
                           m1 pendants 4..m1+3 on vertex 2,
                           m2 pendants m1+4..m1+m2+3 on vertex 3
 
-generate and read_graph store graphs through one trusted path that checks
-nothing: generate's edges are normalized and sorted by construction (a test
-rebuilds them through Graph(...) over a grid), and read_graph checks each
-edge and role of a file once, itself.  Only a direct Graph(...) re-checks.
+A graph is its vertex count, its edges and an optional family: a labeling
+is defined from V(G) and E(G) alone.  generate and
+read_graph store graphs through one trusted path that checks nothing:
+generate's edges are normalized and sorted by construction (a test rebuilds
+them through Graph(...) over a grid), and read_graph checks each edge of a
+file once, itself.  Only a direct Graph(...) re-checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-ROLES = ("apex", "hub", "rim", "path", "pendant", "blade-tip", "internal", "generic")
+from dataclasses import KW_ONLY, dataclass
 
 # each family's parameter names and the lower bound they all share
 _FAMILIES = {
@@ -78,18 +78,18 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with per-vertex roles.
+    """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
     sorted order, so iteration is deterministic.  The constructor
-    validates: no loops, duplicates or out-of-range endpoints, one known
-    role per vertex.  Graphs from generate and read_graph skip it (see
-    the module docstring).
+    validates: no loops, duplicates or out-of-range endpoints.  Graphs
+    from generate and read_graph skip it (see the module docstring).
+    family is keyword-only.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    roles: tuple[str, ...] = ()
+    _: KW_ONLY
     family: FamilySpec | None = None
 
     def __post_init__(self) -> None:
@@ -108,32 +108,24 @@ class Graph:
             seen.add(e)
             norm.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
-        roles = self.roles or ("generic",) * self.vertex_count
-        if len(roles) != self.vertex_count:
-            raise ValueError("roles must list one role per vertex")
-        for r in roles:
-            if r not in ROLES:
-                raise ValueError(f"unknown role {r!r}")
-        object.__setattr__(self, "roles", tuple(roles))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
-def _trusted(edges: list[tuple[int, int]], roles: tuple[str, ...], spec: FamilySpec | None) -> Graph:
-    """A graph from generate or read_graph, stored as given: one known role per
-    vertex, edges with u < v, distinct and in sorted order.  Nothing is checked."""
+def _trusted(n: int, edges: list[tuple[int, int]], spec: FamilySpec | None) -> Graph:
+    """A graph from generate or read_graph, stored as given: edges with
+    0 <= u < v < n, distinct and in sorted order.  Nothing is checked."""
     g = object.__new__(Graph)
-    object.__setattr__(g, "vertex_count", len(roles))
+    object.__setattr__(g, "vertex_count", n)
     object.__setattr__(g, "edges", tuple(edges))
-    object.__setattr__(g, "roles", roles)
     object.__setattr__(g, "family", spec)
     return g
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the family graph with canonical numbering and vertex roles.
+    """Build the family graph with canonical numbering.
 
     Each branch must list its edges as (u, v) with u < v, distinct and in
     sorted order: _trusted stores them as they are.
@@ -141,55 +133,49 @@ def generate(spec: FamilySpec) -> Graph:
     name, params = spec.name, spec.params
     if name == "path":
         (n,) = params
-        edges, roles = [(i, i + 1) for i in range(n - 1)], ("path",) * n
+        edges, count = [(i, i + 1) for i in range(n - 1)], n
     elif name == "cycle":
         (n,) = params
-        edges = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)]
-        roles = ("rim",) * n
+        edges, count = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], n
     elif name == "complete":
         (n,) = params
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        roles = ("generic",) * n
+        edges, count = [(u, v) for u in range(n) for v in range(u + 1, n)], n
     elif name in ("complete_bipartite", "star"):
         if name == "star":
             m, n = 1, params[0]
         else:
             m, n = params
-        edges = [(a, m + b) for a in range(m) for b in range(n)]
-        if m == 1:
-            roles = ("apex",) + ("pendant",) * n
-        else:
-            roles = ("generic",) * (m + n)
+        edges, count = [(a, m + b) for a in range(m) for b in range(n)], m + n
     elif name == "wheel":
         (n,) = params
         edges = [(0, i) for i in range(1, n + 1)]
         edges += [(1, 2), (1, n)]
         edges += [(i, i + 1) for i in range(2, n)]
-        roles = ("hub",) + ("rim",) * n
+        count = n + 1
     elif name == "bistar":
         m, n = params
         edges = [(0, 1)]
         edges += [(0, 2 + i) for i in range(m)]
         edges += [(1, 2 + m + i) for i in range(n)]
-        roles = ("apex", "apex") + ("pendant",) * (m + n)
+        count = m + n + 2
     elif name == "triangular_snake":
         # path vertex i < n is followed by its path edge, then its two tips
         (n,) = params
         edges = [(0, 1), (0, n + 1)]
         edges += [e for i in range(1, n) for e in ((i, i + 1), (i, n + i), (i, n + i + 1))]
         edges.append((n, 2 * n))
-        roles = ("path",) * (n + 1) + ("blade-tip",) * n
+        count = 2 * n + 1
     elif name == "friendship":
         (n,) = params
         edges = [(0, i) for i in range(1, 2 * n + 1)]
         edges += [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
-        roles = ("apex",) + ("blade-tip",) * (2 * n)
+        count = 2 * n + 1
     elif name == "jellyfish":
         m1, m2 = params
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
         edges += [(2, 4 + i) for i in range(m1)]
         edges += [(3, 4 + m1 + i) for i in range(m2)]
-        roles = ("internal",) * 4 + ("pendant",) * (m1 + m2)
+        count = m1 + m2 + 4
     else:
         raise FamilyParameterError(f"unknown family {name!r}")
-    return _trusted(edges, roles, spec)
+    return _trusted(count, edges, spec)

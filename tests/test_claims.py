@@ -31,40 +31,40 @@ def test_exactly_ten_claims_one_per_family():
 
 def test_cycle_claim_examples():
     claim = claim_for("cycle")
-    assert claim.paper_verdict((10,)) is False
-    assert claim.paper_verdict((9,)) is True
+    assert claim.predicate((10,)) is False
+    assert claim.predicate((9,)) is True
 
 
 def test_complete_claim_examples():
     claim = claim_for("complete")
-    assert claim.paper_verdict((36,)) is True
-    assert claim.paper_verdict((51,)) is False
+    assert claim.predicate((36,)) is True
+    assert claim.predicate((51,)) is False
     assert KN_CLAIMED == {1, 2, 3, 4, 6, 36, 49, 62, 64, 66, 79, 81, 83}
 
 
 def test_bistar_claim_examples():
     claim = claim_for("bistar")
-    assert claim.paper_verdict((10, 9)) is True  # sum 19
-    assert claim.paper_verdict((13, 14)) is False  # sum 27
-    assert claim.paper_verdict((15, 15)) is True  # sum 30
-    assert claim.paper_verdict((20, 20)) is False  # sum 40
+    assert claim.predicate((10, 9)) is True  # sum 19
+    assert claim.predicate((13, 14)) is False  # sum 27
+    assert claim.predicate((15, 15)) is True  # sum 30
+    assert claim.predicate((20, 20)) is False  # sum 40
 
 
 def test_star_claim_examples():
     claim = claim_for("star")
-    assert claim.paper_verdict((25,)) is False
-    assert claim.paper_verdict((32,)) is True
-    assert claim.paper_verdict((33,)) is False
+    assert claim.predicate((25,)) is False
+    assert claim.predicate((32,)) is True
+    assert claim.predicate((33,)) is False
 
 
 def test_bipartite_composite_claim():
     claim = claim_for("complete_bipartite")
-    assert claim.paper_verdict((4, 4)) is True  # both even
-    assert claim.paper_verdict((28, 1)) is False  # even side = 6*odd + 22
-    assert claim.paper_verdict((32, 1)) is True  # even side = 6*odd + 26
-    assert claim.paper_verdict((34, 1)) is False  # beyond the bound
-    assert claim.paper_verdict((13, 15)) is True  # odd-odd, sum 28 <= 28
-    assert claim.paper_verdict((21, 21)) is None  # odd-odd beyond table: silent
+    assert claim.predicate((4, 4)) is True  # both even
+    assert claim.predicate((28, 1)) is False  # even side = 6*odd + 22
+    assert claim.predicate((32, 1)) is True  # even side = 6*odd + 26
+    assert claim.predicate((34, 1)) is False  # beyond the bound
+    assert claim.predicate((13, 15)) is True  # odd-odd, sum 28 <= 28
+    assert claim.predicate((21, 21)) is None  # odd-odd beyond table: silent
 
 
 def test_sweep_cycles_all_agree():

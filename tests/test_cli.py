@@ -66,7 +66,7 @@ def test_gen_writes_schema(tmp_path):
     run_cli("gen", "wheel", "5", "--out", str(out))
     doc = json.loads(out.read_text())
     assert doc["vertex_count"] == 6
-    assert doc["roles"]["0"] == "hub"
+    assert "roles" not in doc
     assert doc["family"] == {"name": "wheel", "params": [5]}
 
 

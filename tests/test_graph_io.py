@@ -1,6 +1,7 @@
 """JSON round trips, format diagnostics, and DOT export."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -104,11 +105,48 @@ def test_edge_out_of_range_diagnostic():
 @given(graph_json())
 @settings(max_examples=300, deadline=None)
 def test_read_graph_equals_graph_of_the_same_content(case):
-    text, (n, edges, roles, family) = case
-    assert read_graph(text) == Graph(n, edges, roles, family)
+    text, (n, edges, family) = case
+    assert read_graph(text) == Graph(n, edges, family=family)
 
 
-# one fault per file: (vertex_count, edges, roles, field, message)
+def test_write_graph_is_one_compact_line():
+    g = generate(FamilySpec("complete_bipartite", (300, 301)))
+    text = write_graph(g)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert read_graph(text) == g
+
+
+# the format defines no roles key: an old-style vertex map, aliased vertex
+# keys and values that are no map at all are each ignored
+@pytest.mark.parametrize(
+    "roles",
+    [
+        {"0": "path", "1": "path", "2": "path"},
+        {"0": "captain", "00": "apex", " 1": "hub", "+2": "rim"},
+        None,
+        5,
+    ],
+    ids=["old-map", "aliased-keys", "null", "number"],
+)
+def test_roles_key_is_ignored(roles):
+    doc = {"vertex_count": 3, "edges": [[0, 1], [1, 2]], "family": {"name": "path", "params": [3]}}
+    plain = read_graph(json.dumps(doc))
+    assert read_graph(json.dumps({**doc, "roles": roles})) == plain
+
+
+def test_read_graph_allocates_nothing_per_vertex():
+    text = '{"vertex_count": 10000000, "edges": []}'
+    tracemalloc.start()
+    try:
+        g = read_graph(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.vertex_count == 10_000_000
+    assert peak < 1_000_000
+
+
+# one fault per file: (vertex_count, edges, ignored roles key, field, message)
 GRAPH_FAULTS = [
     (3, [[0, 1], 5], None, "edges[1]", "expected a [u, v] pair, got 5"),
     (3, [[0]], None, "edges[0]", "expected a [u, v] pair, got [0]"),
@@ -121,7 +159,7 @@ GRAPH_FAULTS = [
     (3, [[-1, 2]], None, "edges[0]", "edge [-1, 2] out of range 0..2"),
     (3, [[0, 1], [2, 2]], None, "edges[1]", "self-loop at vertex 2"),
     (3, [[0, 1], [1, 2], [1, 0]], None, "edges[2]", "duplicate of edges[0], edge (0, 1)"),
-    (3, [[0, 1]], {"1": "captain"}, "graph", "unknown role 'captain'"),
+    (3, [[0, 1], [1, 3]], {"1": "captain"}, "edges[1]", "edge [1, 3] out of range 0..2"),
     (3, [[0, 1], [1, 2], [0, 2], [2, 0]], None, "edges", "4 listed, but a simple graph on 3 vertices has at most 3"),
     (2, [[0, 1], [1, 0]], None, "edges", "2 listed, but a simple graph on 2 vertices has at most 1"),
 ]
@@ -192,11 +230,6 @@ def test_family_params_must_be_a_list(params, shown):
     with pytest.raises(FormatError) as err:
         read_graph(text % params)
     assert str(err.value) == f"family.params: expected a list of integers, got {shown}"
-
-
-def test_roles_default_to_generic_when_absent():
-    g = read_graph('{"vertex_count": 2, "edges": [[0, 1]]}')
-    assert g.roles == ("generic", "generic")
 
 
 def test_dot_path2():
