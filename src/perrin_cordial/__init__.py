@@ -16,7 +16,6 @@ from .construct import (
     Constructed,
     Infeasible,
     SchemeExhaustedError,
-    SchemeParams,
     construct,
 )
 from .graph_io import (

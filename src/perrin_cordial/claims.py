@@ -122,7 +122,8 @@ def claim_for(family: str) -> Claim:
 
 
 def default_grid(family: str) -> list[tuple[int, ...]]:
-    """Desk-scale grid per family; outside ANALYTIC_FAMILIES each graph has at most 24 vertices."""
+    """Desk-scale grid per family; block-family and jellyfish graphs have at most
+    24 vertices, so tests can cross-check them exhaustively."""
     if family == "path":
         return [(n,) for n in range(1, 21)]
     if family == "cycle":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -113,6 +114,10 @@ def cmd_decide(args) -> int:
     return 1
 
 
+# 88 times the 1,129 rows of `sweep all`; the grid is listed before any point runs
+_SWEEP_POINTS_MAX = 100_000
+
+
 def _span(token: str) -> range:
     """The values of a LO:HI token, integers with LO <= HI."""
     lo, _, hi = token.partition(":")
@@ -140,7 +145,10 @@ def cmd_sweep(args) -> int:
         if args.range:
             if len(args.range) > 2:
                 raise FormatError("--range", "expected one or two LO:HI spans")
-            grid = list(itertools.product(*map(_span, args.range)))
+            spans = [_span(token) for token in args.range]
+            if math.prod(span.stop - span.start for span in spans) > _SWEEP_POINTS_MAX:
+                raise FormatError("--range", f"covers more than {_SWEEP_POINTS_MAX} grid points")
+            grid = list(itertools.product(*spans))
         rows = claims_mod.sweep(claim, grid)
     if args.witness_dir:
         wdir = Path(args.witness_dir)

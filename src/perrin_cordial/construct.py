@@ -9,9 +9,8 @@ block-structured parity scheme (_block_scan).  Each candidate's number of
 odd edges is an exact closed form in its block sizes, tested against the
 real tally, so only the first balanced candidate is built and tallied.
 For n = 7p the path and friendship walks start in the paper's pinned
-even count, and a hit there is recorded as the "pinned" variant.  Shapes
-with n = 2 (mod 4) are proven infeasible by the degree-parity certificate
-(oracle.decide_parity).
+even count.  Shapes with n = 2 (mod 4) are proven infeasible by the
+degree-parity certificate (oracle.decide_parity).
 
 Complete, complete bipartite, star, bistar and jellyfish graphs declare a
 class quotient instead: classes of vertices with the same neighbours
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import NamedTuple
 
 from .graphs import FamilySpec, Graph, generate
 from .labeling import (
@@ -45,7 +43,7 @@ from .labeling import (
     tally,
 )
 from .oracle import decide_parity
-from .perrin import Parity, even_count
+from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -55,25 +53,9 @@ class SchemeExhaustedError(RuntimeError):
     for a family proven always-feasible."""
 
 
-class SchemeParams(NamedTuple):
-    """Block sizes of the parity scheme that produced a labeling.
-
-    Each constructor says what p1 and p2 count.  q1 is a path's leading odd
-    block; its closing odd block holds the q2 = n - q1 - p1 - 2*p2 vertices
-    left over.
-    """
-
-    p1: int | None = None
-    p2: int | None = None
-    q1: int | None = None
-    skip: Parity | None = None
-    variant: str = ""
-
-
 @dataclass(frozen=True)
 class Constructed:
     labeling: PerrinLabeling
-    scheme: SchemeParams
     tally: EdgeTally
 
 
@@ -82,15 +64,11 @@ class Infeasible:
     reason: str
 
 
-def _skip_of(s: int, vertex_count: int) -> Parity:
-    return O if s == even_count(vertex_count) else E
-
-
 def _name(spec: FamilySpec) -> str:
     return f"{spec.name}({','.join(map(str, spec.params))})"
 
 
-def _gate(g: Graph, scheme: SchemeParams, pattern: ParityPattern) -> Constructed:
+def _gate(g: Graph, pattern: ParityPattern) -> Constructed:
     """The labeling of a scan's hit, once its real edge tally is cordial.
 
     Hits come from exact counts, so a failing tally means the count (a block
@@ -100,14 +78,14 @@ def _gate(g: Graph, scheme: SchemeParams, pattern: ParityPattern) -> Constructed
     if not is_cordial(t):
         where = _name(g.family) if g.family else f"graph on {g.vertex_count} vertices"
         raise SchemeExhaustedError(f"{where}: the scheme's hit fails the tally gate")
-    return Constructed(labeling=realize(g, pattern), scheme=scheme, tally=t)
+    return Constructed(labeling=realize(g, pattern), tally=t)
 
 
 def _block_scan(spec: FamilySpec, walk, build) -> Constructed | Infeasible:
     """Infeasible by the degree-parity certificate, else the first balanced key of the walk.
 
     walk(n) yields (key, cut) with cut the key's exact number of odd edges;
-    only the hit is built, by build(n, *key) -> (scheme, pattern), and tallied.
+    only the hit is built, by build(n, *key) -> pattern, and tallied.
     """
     (n,) = spec.params
     g = generate(spec)
@@ -116,7 +94,7 @@ def _block_scan(spec: FamilySpec, walk, build) -> Constructed | Infeasible:
         return Infeasible(proof.reason)
     for key, cut in walk(n):
         if -1 <= g.edge_count - 2 * cut <= 1:
-            return _gate(g, *build(n, *key))
+            return _gate(g, build(n, *key))
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
 
 
@@ -161,12 +139,8 @@ def _path_walk(n: int):
                 yield (s, q1, p2), _line_cut(blocks)
 
 
-def _path_build(n: int, s: int, q1: int, p2: int):
-    skip = _skip_of(s, n)
-    # for n = 7p the walk starts at the paper's 3p evens, one even index skipped
-    variant = "pinned" if n % 7 == 0 and skip is E else "scan"
-    scheme = SchemeParams(p1=s - p2, p2=p2, q1=q1, skip=skip, variant=variant)
-    return scheme, (O,) * q1 + (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - q1 - p2)
+def _path_build(n: int, s: int, q1: int, p2: int) -> ParityPattern:
+    return (O,) * q1 + (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - q1 - p2)
 
 
 # ------------------------------------------------------- cycles and wheels
@@ -188,20 +162,14 @@ def _cycle_walk(n: int):
     return _ring_walk(n, n)
 
 
-def _cycle_build(n: int, s: int, p2: int):
-    scheme = SchemeParams(p1=s - p2, p2=p2, skip=_skip_of(s, n), variant="scan")
-    return scheme, _ring_pattern(n, s, p2)
-
-
 def _wheel_walk(n: int):
     # the rim's cut plus one odd spoke per even rim vertex
     return ((key, cut + key[0]) for key, cut in _ring_walk(n, n + 1))
 
 
-def _wheel_build(n: int, s: int, p2: int):
-    scheme = SchemeParams(p1=s - p2, p2=p2, skip=_skip_of(s, n + 1), variant="scan")
+def _wheel_build(n: int, s: int, p2: int) -> ParityPattern:
     # hub is vertex 0 and stays odd in this scheme
-    return scheme, (O,) + _ring_pattern(n, s, p2)
+    return (O,) + _ring_pattern(n, s, p2)
 
 
 # ------------------------------------------------------ triangular snakes
@@ -218,7 +186,7 @@ def _snake_walk(n: int):
                 yield (s, p2), 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
 
 
-def _snake_build(n: int, s: int, p2: int):
+def _snake_build(n: int, s: int, p2: int) -> ParityPattern:
     p1 = s - 2 * p2 - 1
     # path ids 0..n, tip ids n+1..2n (tip n+i over path edge (i-1, i))
     pattern = [O] * (2 * n + 1)
@@ -228,8 +196,7 @@ def _snake_build(n: int, s: int, p2: int):
         pattern[n + i] = E
     for i in range(n + 1 - p2, n + 1):  # last p2 tips
         pattern[n + i] = E
-    scheme = SchemeParams(p1=p1, p2=p2, skip=_skip_of(s, 2 * n + 1), variant="scan")
-    return scheme, tuple(pattern)
+    return tuple(pattern)
 
 
 # ------------------------------------------------------------ friendship
@@ -247,7 +214,7 @@ def _friendship_walk(n: int):
                 yield (s, p1), 2 * (p1 + p2)
 
 
-def _friendship_build(n: int, s: int, p1: int):
+def _friendship_build(n: int, s: int, p1: int) -> ParityPattern:
     p2 = s - 2 * p1
     # apex id 0 stays odd; outer ids 1..2n; blade i = (2i-1, 2i)
     pattern = [O] * (2 * n + 1)
@@ -255,9 +222,7 @@ def _friendship_build(n: int, s: int, p1: int):
         pattern[j] = E
     for t in range(p2):
         pattern[2 * p1 + 1 + 2 * t] = E
-    skip = _skip_of(s, 2 * n + 1)
-    variant = "pinned" if n % 7 == 0 and skip is O else "scan"
-    return SchemeParams(p1=p1, p2=p2, skip=skip, variant=variant), tuple(pattern)
+    return tuple(pattern)
 
 
 # ------------------------------------------------------ twin-class scan
@@ -300,11 +265,10 @@ def _single_parities(singles: int, preferred) -> tuple:
     return tuple(tuple(int(i in e) for i in range(singles)) for e in choices)
 
 
-def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0, preferred=()):
+def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, preferred=()):
     """First even-count vector of the declared quotient that balances spec's graph.
 
-    sizes lists `singles` single vertices, then one or two larger classes;
-    scheme(a, skip) names the winning count vector a.
+    sizes lists `singles` single vertices, then one or two larger classes.
     """
     # n and |E| come from the quotient; the graph is built only to gate a hit
     n, total = sum(sizes), sum(sizes[i] * sizes[j] for i, j in joins)
@@ -321,8 +285,7 @@ def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0
             e, d = total - 2 * _class_cut(sizes, cliques, joins, head + first), 0
             for j in range(length):
                 if -1 <= e <= 1:
-                    a = head + _step(first, j)
-                    return _gate(generate(spec), scheme(a, _skip_of(s, n)), _class_pattern(sizes, a))
+                    return _gate(generate(spec), _class_pattern(sizes, head + _step(first, j)))
                 misses.append(e)
                 if j == 0 and length > 1:
                     d = total - 2 * _class_cut(sizes, cliques, joins, head + _step(first, 1)) - e
@@ -342,57 +305,34 @@ def _class_scan(spec: FamilySpec, sizes, scheme, cliques=(), joins=(), singles=0
 
 def _complete(spec: FamilySpec) -> Constructed | Infeasible:
     # K_n: one clique class, so only the even count matters
-    (n,) = spec.params
-    return _class_scan(
-        spec,
-        (n,),
-        lambda a, skip: SchemeParams(p1=a[0], p2=n - a[0], skip=skip, variant="count-split"),
-        cliques=(0,),
-    )
-
-
-def _sides(a, skip) -> SchemeParams:
-    return SchemeParams(p1=a[0], p2=a[1], skip=skip)
+    return _class_scan(spec, spec.params, cliques=(0,))
 
 
 def _complete_bipartite(spec: FamilySpec) -> Constructed | Infeasible:
     # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
-    m, n = spec.params
-    return _class_scan(spec, (m, n), _sides, joins=((0, 1),))
+    return _class_scan(spec, spec.params, joins=((0, 1),))
 
 
 def _star(spec: FamilySpec) -> Constructed | Infeasible:
     # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
     (n,) = spec.params
-    return _class_scan(spec, (1, n), _sides, joins=((0, 1),), singles=1)
+    return _class_scan(spec, (1, n), joins=((0, 1),), singles=1)
 
 
 def _bistar(spec: FamilySpec) -> Constructed | Infeasible:
     # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
-    # (m+n = 3 is the smallest) need other apex parities, which the variant records
+    # (m+n = 3 is the smallest) need other apex parities
     m, n = spec.params
-
-    def scheme(a, skip):
-        names = ("odd", "even")
-        variant = f"apexes-{names[a[0]]}-{names[a[1]]}" if any(a[:2]) else "both-apexes-odd"
-        return SchemeParams(p1=a[2], p2=a[3], skip=skip, variant=variant)
-
-    return _class_scan(spec, (1, 1, m, n), scheme, joins=((0, 1), (0, 2), (1, 3)), singles=2)
+    return _class_scan(spec, (1, 1, m, n), joins=((0, 1), (0, 2), (1, 3)), singles=2)
 
 
 def _jellyfish(spec: FamilySpec) -> Constructed | Infeasible:
     # the pinned internal parities come first: v1,v3 even, its mirror v2,v4,
     # then one even internal
     m1, m2 = spec.params
-
-    def scheme(a, skip):
-        names = ",".join(f"v{i + 1}" for i in range(4) if a[i]) or "none"
-        return SchemeParams(p1=a[4], p2=a[5], skip=skip, variant=f"internal-evens={names}")
-
     return _class_scan(
         spec,
         (1, 1, 1, 1, m1, m2),
-        scheme,
         joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
         singles=4,
         preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,)),
@@ -404,7 +344,7 @@ CONSTRUCTORS = {
     # always succeeds
     "path": partial(_block_scan, walk=_path_walk, build=_path_build),
     # Infeasible when n = 2 (mod 4)
-    "cycle": partial(_block_scan, walk=_cycle_walk, build=_cycle_build),
+    "cycle": partial(_block_scan, walk=_cycle_walk, build=_ring_pattern),
     "complete": _complete,
     "complete_bipartite": _complete_bipartite,
     "star": _star,
@@ -415,8 +355,8 @@ CONSTRUCTORS = {
     "triangular_snake": partial(_block_scan, walk=_snake_walk, build=_snake_build),
     # Infeasible when n = 2 (mod 4)
     "friendship": partial(_block_scan, walk=_friendship_walk, build=_friendship_build),
-    # Infeasible only for a few shapes with one pendant group empty and the
-    # other far beyond the even-index supply; the smallest is (0, 39)
+    # Infeasible exactly when m2 - 13*m1 is in {39, 45, 46, 47, 49} or is at
+    # least 51, for m1 <= m2 (measured for m1 <= 40); the smallest is (0, 39)
     "jellyfish": _jellyfish,
 }
 

@@ -8,8 +8,10 @@ the constructor to report it, while the literal always-constructible
 reading is kept visible as a strict expected failure below.
 """
 
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,6 +23,7 @@ import pytest
 from perrin_cordial import (
     Constructed,
     FamilySpec,
+    Graph,
     Infeasible,
     Parity,
     builtin_claims,
@@ -35,8 +38,10 @@ from perrin_cordial import (
     perrin_value,
     rows_to_csv,
     sweep,
+    sweep_all,
     tally,
     to_parity,
+    write_labeling,
 )
 from perrin_cordial.claims import KN_CLAIMED
 
@@ -112,39 +117,36 @@ def _jellyfish_infeasible_by_recount(m1, m2):
     return True
 
 
-def test_c04_constructor_soundness_grid():
-    t0 = time.perf_counter()
-    for n in range(1, 201):
-        _gate(FamilySpec("path", (n,)))
-    for n in range(3, 201):
-        if n % 4 != 2:
-            _gate(FamilySpec("cycle", (n,)))
-    for n in range(3, 201):
-        _gate(FamilySpec("wheel", (n,)))
+def c04_grid():
+    """The c04 constructor grid, in the order the test walks it."""
+    specs = [FamilySpec("path", (n,)) for n in range(1, 201)]
+    specs += [FamilySpec("cycle", (n,)) for n in range(3, 201) if n % 4 != 2]
+    specs += [FamilySpec("wheel", (n,)) for n in range(3, 201)]
     for n in range(1, 101):
         if n % 4 != 2:
-            _gate(FamilySpec("triangular_snake", (n,)))
-            _gate(FamilySpec("friendship", (n,)))
+            specs += [FamilySpec("triangular_snake", (n,)), FamilySpec("friendship", (n,))]
     for total in list(range(2, 27)) + [28, 29, 30, 32, 36]:
-        for m in range(1, total):
-            _gate(FamilySpec("bistar", (m, total - m)))
-    for m1 in range(0, 51):
-        for m2 in range(0, 51):
-            spec = FamilySpec("jellyfish", (m1, m2))
-            if (m1, m2) in JELLY_INFEASIBLE:
-                assert isinstance(construct(spec), Infeasible), (m1, m2)
-                assert _jellyfish_infeasible_by_recount(m1, m2), (m1, m2)
-            else:
-                _gate(spec)
-    for n in sorted(KN_CLAIMED):
-        _gate(FamilySpec("complete", (n,)))
-    pairs = 0
+        specs += [FamilySpec("bistar", (m, total - m)) for m in range(1, total)]
+    specs += [FamilySpec("jellyfish", (m1, m2)) for m1 in range(0, 51) for m2 in range(0, 51)]
+    specs += [FamilySpec("complete", (n,)) for n in sorted(KN_CLAIMED)]
     for n in range(1, 120, 2):
         for m in range(2, 121 - n, 2):
             if m > 6 * n + 26 or m == 6 * n + 22:
                 continue
-            _gate(FamilySpec("complete_bipartite", (m, n)))
-            pairs += 1
+            specs.append(FamilySpec("complete_bipartite", (m, n)))
+    return specs
+
+
+def test_c04_constructor_soundness_grid():
+    t0 = time.perf_counter()
+    pairs = 0
+    for spec in c04_grid():
+        if spec.name == "jellyfish" and spec.params in JELLY_INFEASIBLE:
+            assert isinstance(construct(spec), Infeasible), spec.params
+            assert _jellyfish_infeasible_by_recount(*spec.params), spec.params
+        else:
+            _gate(spec)
+        pairs += spec.name == "complete_bipartite"
     dt = time.perf_counter() - t0
     assert dt < 60.0, f"grid took {dt:.1f}s, bound is 60s"
     _pass(
@@ -153,6 +155,38 @@ def test_c04_constructor_soundness_grid():
         f"{dt:.1f} s; K_mn pairs: {pairs}; note: 10 degenerate jellyfish "
         "shapes in the stated grid are provably infeasible and reported so",
     )
+
+
+# SHA-256 of _result_dump(); a change that alters any witness, tally, verdict
+# or reason on purpose updates it and says so
+RESULT_DIGEST = "36efa62f298cf1550ed57ee797210f24f80008c4f4c536513d231c97530f1551"
+
+
+def _result_dump() -> bytes:
+    """Every c04 construction, the default sweep with its witnesses, and
+    decide_exhaustive on 200 seeded random graphs with at most 14 vertices."""
+    out = []
+    for spec in c04_grid():
+        got = construct(spec)
+        if isinstance(got, Infeasible):
+            out.append(f"{spec} infeasible: {got.reason}\n")
+        else:
+            out.append(f"{spec} {got.tally.e0} {got.tally.e1}\n{write_labeling(got.labeling)}")
+    rows = sweep_all()
+    out.append(rows_to_csv(rows))
+    out += [write_labeling(r.witness) for r in rows if r.witness is not None]
+    rnd = random.Random(14)
+    for _ in range(200):
+        n, density = rnd.randint(1, 14), rnd.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+        v = decide_exhaustive(Graph(n, tuple(edges)))
+        witness = write_labeling(v.witness) if v.witness else ""
+        out.append(f"{n} {edges} {v.feasible} {v.searched} {v.reason}\n{witness}")
+    return "".join(out).encode()
+
+
+def test_results_match_the_recorded_digest():
+    assert hashlib.sha256(_result_dump()).hexdigest() == RESULT_DIGEST
 
 
 @pytest.mark.xfail(

@@ -237,6 +237,17 @@ def test_sweep_rejects_a_malformed_range(token):
     assert r.stderr == f"error: --range: expected LO:HI with integers LO <= HI, got {token!r}\n"
 
 
+@pytest.mark.parametrize(
+    "family,spans", [("cycle", ["3:100003"]), ("bistar", ["1:100000", "1:100000"])]
+)
+def test_sweep_rejects_a_range_past_the_bound(family, spans):
+    # rejected before the grid is listed: 100,000 points is the bound
+    r = run_cli("sweep", family, "--range", *spans)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: --range: covers more than 100000 grid points\n"
+
+
 def test_sweep_all_rejects_a_range(tmp_path):
     out = tmp_path / "rows.csv"
     r = run_cli("sweep", "all", "--range", "1:3", "--out", str(out))

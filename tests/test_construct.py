@@ -13,7 +13,6 @@ from perrin_cordial import (
     Parity,
     PerrinLabeling,
     SchemeExhaustedError,
-    SchemeParams,
     construct,
     decide_exhaustive,
     even_count,
@@ -25,6 +24,10 @@ from perrin_cordial import (
 )
 
 E, O = Parity.EVEN, Parity.ODD
+
+
+def _parities(text):
+    return tuple(E if c == "E" else O for c in text)
 
 
 def _check(spec):
@@ -40,7 +43,6 @@ def _check(spec):
     used = sum(1 for p in to_parity(got.labeling) if p is E)
     ec = even_count(g.vertex_count)
     assert used in (ec - 1, ec)
-    assert got.scheme.skip is (O if used == ec else E)
     return got
 
 
@@ -51,7 +53,6 @@ def test_path_seven_matches_block_scheme():
     got = _check(FamilySpec("path", (7,)))
     assert to_parity(got.labeling) == (E, E, O, E, O, O, O)
     assert got.tally.epsilon == 0
-    assert (got.scheme.q1, got.scheme.p1, got.scheme.p2) == (0, 2, 1)
 
 
 def test_path_two_single_edge():
@@ -61,8 +62,8 @@ def test_path_two_single_edge():
 
 def test_path_fourteen_pinned():
     got = _check(FamilySpec("path", (14,)))
+    assert to_parity(got.labeling) == _parities("OEEEEOEOEOOOOO")
     assert got.tally.epsilon == 1
-    assert got.scheme.p2 == 2
 
 
 @pytest.mark.parametrize("n", list(range(1, 60)))
@@ -81,15 +82,14 @@ def test_cycle_six_infeasible():
 
 def test_cycle_sixteen():
     got = _check(FamilySpec("cycle", (16,)))
+    assert to_parity(got.labeling) == _parities("EEEEOEOEOEOOOOOO")
     assert got.tally.epsilon == 0
-    assert got.scheme.p2 == 3
 
 
 def test_cycle_five():
     got = _check(FamilySpec("cycle", (5,)))
     assert to_parity(got.labeling) == (E, E, E, O, O)
     assert got.tally.epsilon == 1
-    assert (got.scheme.p1, got.scheme.p2) == (3, 0)
 
 
 @pytest.mark.parametrize("n", list(range(3, 60)))
@@ -109,7 +109,7 @@ KN_FEASIBLE_100 = {1, 2, 3, 4, 6, 36, 49, 51, 62, 64, 66, 79, 81, 83}
 def test_complete_49_balanced_split():
     got = _check(FamilySpec("complete", (49,)))
     assert (got.tally.e0, got.tally.e1) == (588, 588)
-    assert (got.scheme.p1, got.scheme.p2) == (21, 28)
+    assert to_parity(got.labeling) == (E,) * 21 + (O,) * 28
 
 
 def test_complete_trivial_and_infeasible():
@@ -142,7 +142,7 @@ def test_complete_verdict_over_hundred_matches_independent_recount():
 
 def test_bipartite_four_three():
     got = _check(FamilySpec("complete_bipartite", (4, 3)))
-    assert (got.scheme.p1, got.scheme.p2) == (2, 1)
+    assert to_parity(got.labeling) == _parities("EEOOEOO")
     assert got.tally.epsilon == 0
 
 
@@ -153,7 +153,7 @@ def test_bipartite_twenty_eight_one_infeasible():
 
 def test_bipartite_two_two():
     got = _check(FamilySpec("complete_bipartite", (2, 2)))
-    assert (got.scheme.p1, got.scheme.p2) == (1, 1)
+    assert to_parity(got.labeling) == _parities("EOEO")
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -173,7 +173,8 @@ def test_star_alias():
 def test_bipartite_emitted_tally_equals_product(m, n):
     got = construct(FamilySpec("complete_bipartite", (m, n)))
     if isinstance(got, Constructed):
-        p1, p2 = got.scheme.p1, got.scheme.p2
+        pattern = to_parity(got.labeling)
+        p1, p2 = pattern[:m].count(E), pattern[m:].count(E)
         assert got.tally.epsilon == (m - 2 * p1) * (n - 2 * p2)
 
 
@@ -183,15 +184,15 @@ def test_bipartite_emitted_tally_equals_product(m, n):
 def test_wheel_thirteen_first_hit_is_the_paper_table_entry():
     # the paper's table entry (5, 2) is the walk's first hit; no table is kept
     got = _check(FamilySpec("wheel", (13,)))
-    assert (got.scheme.p1, got.scheme.p2) == (5, 2)
-    assert got.scheme.variant == "scan"
+    # hub odd, then E^5 (OE)^2 O^4 around the rim
+    assert to_parity(got.labeling) == _parities("OEEEEEOEOEOOOO")
     assert abs(got.tally.epsilon) <= 1
 
 
 def test_wheel_six_first_hit_has_zero_imbalance():
     # the walk's exact cut puts the first hit at (4, 0), whose real tally is 0
     got = _check(FamilySpec("wheel", (6,)))
-    assert (got.scheme.p1, got.scheme.p2) == (4, 0)
+    assert to_parity(got.labeling) == _parities("OEEEEOO")
     assert got.tally.epsilon == 0
 
 
@@ -235,8 +236,7 @@ def test_snake_four_and_figure():
 
 def test_snake_seven_pinned():
     got = _check(FamilySpec("triangular_snake", (7,)))
-    assert got.scheme.p2 == 1
-    assert got.scheme.skip is O
+    assert to_parity(got.labeling) == _parities("OOOOOOEEEEEEOOE")
     assert got.tally.epsilon == 1
 
 
@@ -267,7 +267,7 @@ def test_friendship_six_infeasible():
 
 def test_friendship_seven_pinned():
     got = _check(FamilySpec("friendship", (7,)))
-    assert got.scheme.p1 == 2
+    assert to_parity(got.labeling) == _parities("OEEEEEOEOEOOOOO")
     assert got.tally.epsilon == 1
 
 
@@ -286,22 +286,23 @@ def test_friendships_feasible_iff_not_two_mod_four(n):
 def test_bistar_examples():
     got = _check(FamilySpec("bistar", (6, 6)))
     assert got.tally.epsilon == 1
-    assert got.scheme.p1 + got.scheme.p2 == 6  # evens used = even_count(14) - 1
-    assert got.scheme.variant == "both-apexes-odd"
+    pattern = to_parity(got.labeling)
+    assert pattern[:2] == (O, O)  # both apexes odd
+    assert pattern[2:].count(E) == 6 == even_count(14) - 1
 
     got = _check(FamilySpec("bistar", (1, 1)))
     assert got.tally.epsilon == -1
 
     got = _check(FamilySpec("bistar", (13, 12)))
     assert got.tally.epsilon == 0
-    assert got.scheme.skip is O
+    assert to_parity(got.labeling).count(E) == even_count(27)
 
 
 def test_bistar_sum_three_needs_mixed_apexes():
     # the odd-apexes scheme cannot reach m+n = 3, yet B_{1,2} is cordial
     for m, n in ((1, 2), (2, 1)):
         got = _check(FamilySpec("bistar", (m, n)))
-        assert got.scheme.variant != "both-apexes-odd"
+        assert E in to_parity(got.labeling)[:2]
 
 
 def test_bistar_grid_matches_scheme_reach():
@@ -311,7 +312,7 @@ def test_bistar_grid_matches_scheme_reach():
         for m in range(1, total):
             got = _check(FamilySpec("bistar", (m, total - m)))
             if total != 3:
-                assert got.scheme.variant == "both-apexes-odd", (m, total - m)
+                assert to_parity(got.labeling)[:2] == (O, O), (m, total - m)
 
 
 # ------------------------------------------------------------- jellyfish
@@ -319,9 +320,10 @@ def test_bistar_grid_matches_scheme_reach():
 
 def test_jellyfish_seven_seven():
     got = _check(FamilySpec("jellyfish", (7, 7)))
-    assert got.scheme.p2 == 3
+    pattern = to_parity(got.labeling)
+    assert pattern[11:].count(E) == 3  # evens in the second pendant group
     assert got.tally.epsilon == -1
-    assert got.scheme.variant == "internal-evens=v1,v3"
+    assert pattern[:4] == (E, O, E, O)  # internal evens are v1 and v3
 
 
 def test_jellyfish_empty():
@@ -350,6 +352,20 @@ def test_jellyfish_figure_labeling_is_rejected():
     indices = sorted(fig.assignment.values())
     assert indices.count(7) == 2  # the duplicated label is the only flaw
     assert len(set(indices)) == 17
+
+
+@pytest.mark.parametrize(
+    "m1,m2,feasible",
+    [(1, 51, True), (1, 52, False), (2, 64, True), (2, 65, False), (12, 194, True), (12, 195, False)],
+)
+def test_jellyfish_boundary(m1, m2, feasible):
+    # infeasible exactly when m2 - 13*m1 is in {39, 45, 46, 47, 49} or is at
+    # least 51: each pair sits on either side of m2 - 13*m1 = 51
+    spec = FamilySpec("jellyfish", (m1, m2))
+    if feasible:
+        _check(spec)
+    else:
+        assert isinstance(construct(spec), Infeasible)
 
 
 @pytest.mark.parametrize("m1", range(0, 12))
@@ -403,9 +419,9 @@ def _blow_up(sizes, cliques, joins):
 def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
     scan, seen = _construct._class_scan, []
 
-    def recording(spec, sizes, scheme, cliques=(), joins=(), **rest):
+    def recording(spec, sizes, cliques=(), joins=(), **rest):
         seen.append((spec, sizes, cliques, joins))
-        return scan(spec, sizes, scheme, cliques=cliques, joins=joins, **rest)
+        return scan(spec, sizes, cliques=cliques, joins=joins, **rest)
 
     monkeypatch.setattr(_construct, "_class_scan", recording)
     construct(FamilySpec(family, params))
@@ -437,9 +453,7 @@ def test_class_scan_rejects_a_quotient_the_edges_contradict(family_less, monkeyp
         c4 = generate(FamilySpec("cycle", (4,)))
         monkeypatch.setattr(_construct, "generate", lambda spec: Graph(4, c4.edges))
     with pytest.raises(SchemeExhaustedError):
-        _construct._class_scan(
-            FamilySpec("cycle", (4,)), (2, 2), lambda a, skip: SchemeParams(skip=skip), joins=((0, 1),)
-        )
+        _construct._class_scan(FamilySpec("cycle", (4,)), (2, 2), joins=((0, 1),))
 
 
 def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
@@ -462,7 +476,6 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
         got = _construct._class_scan(
             FamilySpec("path", (1,)),
             sizes,
-            lambda a, skip: SchemeParams(skip=skip),
             cliques=cliques,
             joins=joins,
             singles=singles,
@@ -475,7 +488,7 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
 
 BLOCK_WALKS = {
     "path": (_construct._path_walk, _construct._path_build, range(1, 81)),
-    "cycle": (_construct._cycle_walk, _construct._cycle_build, range(3, 81)),
+    "cycle": (_construct._cycle_walk, _construct._ring_pattern, range(3, 81)),
     "wheel": (_construct._wheel_walk, _construct._wheel_build, range(3, 81)),
     "triangular_snake": (_construct._snake_walk, _construct._snake_build, range(1, 61)),
     "friendship": (_construct._friendship_walk, _construct._friendship_build, range(1, 61)),
@@ -490,7 +503,7 @@ def test_block_walk_cut_is_the_real_tally(family):
     for n in sizes:
         g = generate(FamilySpec(family, (n,)))
         for key, cut in walk(n):
-            _, pattern = build(n, *key)
+            pattern = build(n, *key)
             assert pattern.count(E) == key[0], (family, n, key)
             assert cut == tally(g, pattern).e1, (family, n, key)
 
