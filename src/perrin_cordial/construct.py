@@ -98,24 +98,20 @@ def _block_scan(spec: FamilySpec, walk, build) -> Constructed | Infeasible:
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
 
 
-def _line_cut(blocks, ring: bool = False) -> int:
-    """Odd edges along a line, or a ring, of blocks (size, first, last parity).
+def _line_cut(blocks) -> int:
+    """Odd edges along a line of blocks (size, first, last parity).
 
     A block is constant (first is last) or strictly alternating, which
     changes parity size - 1 times inside.
     """
-    cut, head, prev = 0, None, None
+    cut, prev = 0, None
     for size, first, last in blocks:
         if size:
             if first is not last:
                 cut += size - 1
-            if prev is None:
-                head = first
-            elif prev is not first:
+            if prev is not None and prev is not first:
                 cut += 1
             prev = last
-    if ring and prev is not None and prev is not head:
-        cut += 1
     return cut
 
 
@@ -146,25 +142,22 @@ def _path_build(n: int, s: int, q1: int, p2: int) -> ParityPattern:
 # ------------------------------------------------------- cycles and wheels
 
 
-def _ring_walk(n: int, vertex_count: int):
-    """Keys (s, p2) of the ring E^p1 (OE)^p2 O^tail on n vertices, p1 = s - p2."""
-    for s in feasible_even_counts(vertex_count):
-        for p2 in range(min(s, n - s) + 1):
-            blocks = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O))
-            yield (s, p2), _line_cut(blocks, ring=True)
+def _ring_walk(n: int, spokes: bool = False):
+    """Keys (s, p2) of the ring E^p1 (OE)^p2 O^tail on n vertices, p1 = s - p2, plus one
+    odd spoke per even rim vertex if spokes.  The cut, 2 p2 + 2 (+ s) while E^p1 and the
+    tail are non-empty and 2 p2 (+ s) at p2 = min(s, n - s), grows with p2, so each s
+    yields only the least inner p2 whose cut reaches (|E| - 1) / 2, then that end."""
+    m = 2 * n if spokes else n
+    for s in feasible_even_counts(n + spokes):
+        c, end = s * spokes, min(s, n - s)
+        p2 = max(0, -((5 + 2 * c - m) // 4))
+        if p2 < end:
+            yield (s, p2), 2 * p2 + 2 + c
+        yield (s, end), 2 * end + c
 
 
 def _ring_pattern(n: int, s: int, p2: int) -> ParityPattern:
     return (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - p2)
-
-
-def _cycle_walk(n: int):
-    return _ring_walk(n, n)
-
-
-def _wheel_walk(n: int):
-    # the rim's cut plus one odd spoke per even rim vertex
-    return ((key, cut + key[0]) for key, cut in _ring_walk(n, n + 1))
 
 
 def _wheel_build(n: int, s: int, p2: int) -> ParityPattern:
@@ -344,12 +337,12 @@ CONSTRUCTORS = {
     # always succeeds
     "path": partial(_block_scan, walk=_path_walk, build=_path_build),
     # Infeasible when n = 2 (mod 4)
-    "cycle": partial(_block_scan, walk=_cycle_walk, build=_ring_pattern),
+    "cycle": partial(_block_scan, walk=_ring_walk, build=_ring_pattern),
     "complete": _complete,
     "complete_bipartite": _complete_bipartite,
     "star": _star,
     # always succeeds
-    "wheel": partial(_block_scan, walk=_wheel_walk, build=_wheel_build),
+    "wheel": partial(_block_scan, walk=partial(_ring_walk, spokes=True), build=_wheel_build),
     "bistar": _bistar,
     # Infeasible when n = 2 (mod 4)
     "triangular_snake": partial(_block_scan, walk=_snake_walk, build=_snake_build),

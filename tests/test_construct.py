@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from perrin_cordial import (
     construct,
     decide_exhaustive,
     even_count,
+    feasible_even_counts,
     generate,
     is_cordial,
     is_valid,
@@ -488,8 +490,8 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
 
 BLOCK_WALKS = {
     "path": (_construct._path_walk, _construct._path_build, range(1, 81)),
-    "cycle": (_construct._cycle_walk, _construct._ring_pattern, range(3, 81)),
-    "wheel": (_construct._wheel_walk, _construct._wheel_build, range(3, 81)),
+    "cycle": (_construct._ring_walk, _construct._ring_pattern, range(3, 81)),
+    "wheel": (partial(_construct._ring_walk, spokes=True), _construct._wheel_build, range(3, 81)),
     "triangular_snake": (_construct._snake_walk, _construct._snake_build, range(1, 61)),
     "friendship": (_construct._friendship_walk, _construct._friendship_build, range(1, 61)),
 }
@@ -506,6 +508,29 @@ def test_block_walk_cut_is_the_real_tally(family):
             pattern = build(n, *key)
             assert pattern.count(E) == key[0], (family, n, key)
             assert cut == tally(g, pattern).e1, (family, n, key)
+
+
+def _full_ring_walk(n, spokes):
+    # every key of the ring in walk order, its cut from _line_cut with the
+    # first vertex repeated at the end to close the ring
+    for s in feasible_even_counts(n + spokes):
+        for p2 in range(min(s, n - s) + 1):
+            head = E if s > p2 else O
+            blocks = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O), (1, head, head))
+            yield (s, p2), _construct._line_cut(blocks) + s * spokes
+
+
+def _first_balanced(walk, edge_total):
+    return next((key for key, cut in walk if abs(edge_total - 2 * cut) <= 1), None)
+
+
+@pytest.mark.parametrize("spokes", [False, True], ids=["cycle", "wheel"])
+def test_ring_walk_hit_is_the_full_walks_first_balanced_key(spokes):
+    # n = 2 (mod 4) cycles included: neither walk balances them
+    for n in range(3, 3001):
+        m = 2 * n if spokes else n
+        expected = _first_balanced(_full_ring_walk(n, spokes), m)
+        assert _first_balanced(_construct._ring_walk(n, spokes), m) == expected, n
 
 
 def test_block_constructions_tally_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Exhaustive and parity deciders: verdicts, witnesses, agreement with the count scans."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -27,7 +28,8 @@ from perrin_cordial import (
     tally,
     to_parity,
 )
-from perrin_cordial.oracle import _adjacency_masks, _pack, _search_size
+from perrin_cordial import oracle
+from perrin_cordial.oracle import HIGH, PROBE, _adjacency_masks, _pack, _search_size, _tables
 from oracles import search_size_reference
 from strategies import graphs
 
@@ -306,16 +308,20 @@ def _reference_verdict(g):
     )
 
 
-@given(graphs(min_n=0, max_n=16))
-@settings(max_examples=150, deadline=None)
-def test_block_search_matches_the_one_set_at_a_time_reference(g):
-    # n <= 8 leaves every vertex high; n > 8 gives a non-empty low part
+def _sizes_match_the_reference(g):
     n, m = g.vertex_count, g.edge_count
     adj = _adjacency_masks(g)
     deg = [a.bit_count() for a in adj]
     packed = _pack(n, adj, deg, m)
     for k in feasible_even_counts(n):
         assert _search_size(n, k, adj, deg, m, packed) == search_size_reference(n, k, adj, deg, m)
+
+
+@given(graphs(min_n=0, max_n=16))
+@settings(max_examples=150, deadline=None)
+def test_block_search_matches_the_one_set_at_a_time_reference(g):
+    # n <= 12 leaves every vertex high; n > 12 gives a low part of up to 4
+    _sizes_match_the_reference(g)
     assert decide_exhaustive(g) == _reference_verdict(g)
 
 
@@ -345,20 +351,97 @@ def test_cycle_22_proof_counts_every_set():
 
 
 def test_hit_in_a_single_set_block():
-    # triangular_snake(9) has 19 vertices, low part 0..10: the hit is the
-    # third 9-set and has no high vertex
-    g = generate(FamilySpec("triangular_snake", (9,)))
+    # jellyfish(15, 3) has 22 vertices, low part 0..9: the hit has no high
+    # vertex, so its block is the one set of its low part alone
+    g = generate(FamilySpec("jellyfish", (15, 3)))
     v = decide_exhaustive(g)
-    assert _even_set(v) == {0, 1, 2, 3, 4, 5, 6, 7, 10}
+    assert _even_set(v) == {0, 1, 2, 4, 5, 6, 7, 8, 9}
     assert v == _reference_verdict(g)
-    assert v.searched == 3
+    assert v.searched == 8569
 
 
 def test_hit_inside_a_multi_set_block():
-    # path(13), low part 0..4: the hit takes the high pair {6, 12}, the 13th
-    # of the 28 pairs in the block of {0, 1, 2, 4}
+    # path(13), low part {0}: the hit takes the high part {1, 2, 4, 6, 12},
+    # the 49th of the 792 five-sets in the block of {0}; decide_exhaustive's
+    # probe finds it first, so the block search is called directly
     g = generate(FamilySpec("path", (13,)))
+    adj = _adjacency_masks(g)
+    deg = [a.bit_count() for a in adj]
+    packed = _pack(13, adj, deg, g.edge_count)
+    assert _search_size(13, 6, adj, deg, g.edge_count, packed) == ((0, 1, 2, 4, 6, 12), 49)
+    _sizes_match_the_reference(g)
+    assert decide_exhaustive(g) == _reference_verdict(g)
+
+
+def _seeded_gnp(n, seed):
+    rng = random.Random(seed)
+    p = rng.uniform(0.2, 0.8)
+    return Graph(n, tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p))
+
+
+@pytest.mark.parametrize(
+    "n, seed, searched, packs",
+    [(16, 1623, PROBE, 0), (13, 471, PROBE + 1, 1)],
+    ids=["last_probe_set", "first_block_set"],
+)
+def test_probe_and_block_meet_without_a_gap(monkeypatch, n, seed, searched, packs):
+    # first hits at the probe's last set, found with no table built, and at
+    # the first set after it, found by the block search
+    g = _seeded_gnp(n, seed)
+    built = []
+
+    def counting_pack(*args):
+        built.append(_pack(*args))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "_pack", counting_pack)
     v = decide_exhaustive(g)
-    assert _even_set(v) == {0, 1, 2, 4, 6, 12}
+    assert v.searched == searched and len(built) == packs
     assert v == _reference_verdict(g)
-    assert v.searched == 49
+
+
+def _ring_with_triangle(n, seed):
+    # a Hamiltonian cycle in seeded order plus a triangle on three of its
+    # pairwise non-adjacent vertices: every degree even, |E| = n + 3
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    ring = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
+    triangle = {tuple(sorted(e)) for e in itertools.combinations(order[0:15:5], 2)}
+    return Graph(n, tuple(sorted(ring | triangle)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_seeded_gnp(17, 1217), _seeded_gnp(18, 1103), _ring_with_triangle(19, 4), _seeded_gnp(20, 1033)],
+    ids=["gnp17", "gnp18", "infeasible19", "gnp20"],
+)
+def test_block_search_matches_the_reference_with_a_wide_low_part(g):
+    # n = 17..20 leave 5..8 low vertices below the block
+    assert g.vertex_count - HIGH in range(5, 9)
+    _sizes_match_the_reference(g)
+    v = decide_exhaustive(g)
+    assert v == _reference_verdict(g)
+    assert v.feasible == (g.edge_count != 22)
+
+
+@pytest.mark.parametrize("h", range(9))
+def test_doubled_tables_match_a_per_field_build(h):
+    # field x holds the H with high vertex i at bit h - 1 - i of x
+    def members(x):
+        return {i for i in range(h) if x >> (h - 1 - i) & 1}
+
+    for width in (4, 7, 10):
+        ones, guard, chunks, size_masks = _tables(h, width)
+        fields = range(1 << h)
+        assert ones == sum(1 << (x * width) for x in fields)
+        assert guard == ones << (width - 1)
+        assert size_masks == [
+            sum(1 << (x * width + width - 1) for x in fields if len(members(x)) == s)
+            for s in range(h + 1)
+        ]
+        assert len(chunks) == HIGH // 4
+        for c, table in enumerate(chunks):
+            assert len(table) == 1 << len(range(4 * c, min(h, 4 * c + 4)))
+            for m4, packed in enumerate(table):
+                mask = {4 * c + j for j in range(4) if m4 >> j & 1}
+                assert packed == sum(len(members(x) & mask) << (x * width) for x in fields)
