@@ -29,6 +29,7 @@ file once, itself.  Only a direct Graph(...) re-checks.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
+from itertools import combinations, product
 
 # each family's parameter names and the lower bound they all share
 _FAMILIES = {
@@ -139,13 +140,13 @@ def generate(spec: FamilySpec) -> Graph:
         edges, count = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], n
     elif name == "complete":
         (n,) = params
-        edges, count = [(u, v) for u in range(n) for v in range(u + 1, n)], n
+        edges, count = list(combinations(range(n), 2)), n
     elif name in ("complete_bipartite", "star"):
         if name == "star":
             m, n = 1, params[0]
         else:
             m, n = params
-        edges, count = [(a, m + b) for a in range(m) for b in range(n)], m + n
+        edges, count = list(product(range(m), range(m, m + n))), m + n
     elif name == "wheel":
         (n,) = params
         edges = [(0, i) for i in range(1, n + 1)]

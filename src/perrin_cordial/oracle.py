@@ -2,17 +2,19 @@
 
 The exhaustive decider searches even-vertex sets S rather than labelings:
 the imbalance of any pattern equals |E| - 2*cut(S), and index availability
-confines |S| to {even_count(|V|) - 1, even_count(|V|)}, tried in that order.
+confines |S| to k1 = even_count(|V|) - 1 or k2 = k1 + 1, ranked in that order.
 A probe tests the first PROBE sets of a size one at a time, which answers
 most feasible graphs before any table is built.  Past it, each S is a low
-part L plus a high part H from the last h = min(|V|, 12) vertices.  The L's
-are walked depth-first, each L's extensions before its own block of every H
-of the remaining size, up to 924 sets.  One packed integer holds cut(L + H)
-for all H, so a few big-integer operations test a whole block, and the
-highest marked field is its lex-first hit.  Both visit every set in
-itertools.combinations order, so the witness is the first balanced set and
-`searched` its 1-based position.  In-process, proving cycle(22) infeasible
-(1,144,066 sets) takes about 0.02 s and K_24 (5,200,300 sets) about 0.1 s
+part L plus a high part H from the last h = min(|V|, 12) vertices, and one
+walk covers both sizes: the L's depth-first, each L's extensions before its
+block of every H of either size (up to 1,716 sets), which one packed integer
+of cut(L + H) tests in a few big-integer operations; the highest marked field
+is its lex-first hit.  An L of k1 vertices and its one-vertex extensions are
+tested one at a time.  A k1 hit ends the walk; a k2 hit is kept in case k1
+has none.  Each size is visited in itertools.combinations order, so the
+witness is the first balanced set and `searched` its 1-based position (after
+every k1-set for a k2 witness).  In-process, proving cycle(22) infeasible
+(1,144,066 sets) takes about 0.007 s and K_24 (5,200,300 sets) about 0.045 s
 (2-vCPU Xeon, Python 3.11.7).  Degree parity is never consulted, so
 decide_exhaustive stays an independent check on the certificate below and
 on the constructors; CLI decide runs it after the certificate.
@@ -75,25 +77,27 @@ PROBE = 64  # sets of each size tested one at a time before any table is built
 
 
 def _probe(n: int, k: int, adj: list[int], deg: list[int], edge_total: int):
-    """(first balanced set among the first PROBE k-subsets or None, sets examined)."""
+    """(first balanced k-set, k >= 2, among the first PROBE or None, sets examined up to it)."""
     examined = 0
-    for head in combinations(range(n), k - 1) if k else ():
+    for head in combinations(range(n), k - 2) if k > 1 else ():
         mask = sum(1 << v for v in head)
         cut = sum(deg[v] - (adj[v] & mask).bit_count() for v in head)
-        for v in range(head[-1] + 1 if head else 0, n):  # the last vertex, inline
-            examined += 1
-            if abs(edge_total - 2 * (cut + deg[v] - 2 * (adj[v] & mask).bit_count())) <= 1:
-                return (*head, v), examined
-            if examined == PROBE:
-                return None, examined
+        for u in range(head[-1] + 1 if head else 0, n - 1):  # the last two vertices, inline
+            mask_u, cut_u = mask | 1 << u, cut + deg[u] - 2 * (adj[u] & mask).bit_count()
+            for v in range(u + 1, n):
+                examined += 1
+                if abs(edge_total - 2 * (cut_u + deg[v] - 2 * (adj[v] & mask_u).bit_count())) <= 1:
+                    return (*head, u, v), examined
+                if examined == PROBE:
+                    return None, examined
     return None, examined
 
 
 @lru_cache(maxsize=None)
 def _tables(h: int, width: int) -> tuple:
-    """ONES, GUARD, 4-bit chunk tables of |H & mask| (bit i = high vertex i) and the
-    guard bits of each |H|, doubled up from one field.  Field x (width bits, guard on
-    top) is the H with index bits x, high vertex i at bit h - 1 - i."""
+    """ONES, GUARD, 4-bit chunk tables of 2 |H & mask| (bit i = high vertex i), the guard
+    bits of each |H| and of each |H| in {s, s + 1}, doubled up from one field.  Field x
+    (width bits, guard on top) is the H with index bits x, high vertex i at bit h - 1 - i."""
     ones, ind, size_masks = 1, [], [1 << (width - 1)]
     for j in range(h):  # double the fields: index bit j is the new high vertex 0
         shift = width << j
@@ -102,78 +106,88 @@ def _tables(h: int, width: int) -> tuple:
         ones |= ones << shift
     chunks = [[0] for _ in range(0, HIGH, 4)]  # a chunk past h stays [0]
     for i, x in enumerate(ind):
-        chunks[i // 4] += [t + x for t in chunks[i // 4]]
-    return ones, ones << (width - 1), chunks, size_masks
+        chunks[i // 4] += [t + (x << 1) for t in chunks[i // 4]]
+    pairs = [a | b for a, b in zip(size_masks, size_masks[1:] + [0])]
+    return ones, ones << (width - 1), chunks, size_masks, pairs
 
 
 def _pack(n: int, adj: list[int], deg: list[int], edge_total: int) -> SimpleNamespace:
     """A graph's targets (t * ONES per balanced cut t), base (cut(H)), rows[u] (2 |N(u) & H|)."""
-    h = min(n, HIGH)
-    low = n - h
-    width = (n * (n - 1) // 2).bit_length() + 1  # any cut fits below the guard bit
-    ones, guard, (t0, t1, t2), size_masks = _tables(h, width)
+    h, low = min(n, HIGH), max(n - HIGH, 0)
+    width = edge_total.bit_length() + 1  # any cut fits below the guard bit
+    ones, guard, (t0, t1, t2), size_masks, pairs = _tables(h, width)
 
-    def counts(m: int) -> int:  # field H: |m & H|, m a mask of high vertices
-        return t0[m & 15] + t1[m >> 4 & 15] + t2[m >> 8]
+    def twice(m: int, keep: int = -1) -> int:  # field H in keep: 2 |m & H|, m of high vertices
+        return (t0[m & 15] & keep) + (t1[m >> 4 & 15] & keep) + (t2[m >> 8] & keep)
 
     # cut(H) over the fields of the last j high vertices, doubled as w joins them:
     # cut(H + w) = cut(H) + deg(w) - 2 |N(w) & H|
     base, part = 0, 1
     for j, w in enumerate(range(n - 1, low - 1, -1)):
         shift = width << j
-        near = counts(adj[w] >> low >> h - j << h - j) & (1 << shift) - 1
-        base |= (base + deg[w] * part - 2 * near) << shift
+        near = twice(adj[w] >> low >> h - j << h - j, (1 << shift) - 1)
+        base |= (base + deg[w] * part - near) << shift
         part |= part << shift
     return SimpleNamespace(
-        width=width, ones=ones, guard=guard, size_masks=size_masks, base=base,
+        width=width, ones=ones, guard=guard, size_masks=size_masks, pairs=pairs, base=base,
         targets=[t * ones for t in range(edge_total // 2, (edge_total + 1) // 2 + 1)],
-        rows=[counts(adj[u] >> low) << 1 for u in range(low)],
+        rows=[twice(adj[u] >> low) for u in range(low)],
     )
 
 
-def _search_size(
-    n: int, k: int, adj: list[int], deg: list[int], edge_total: int, p: SimpleNamespace
-):
-    """(first k-subset in ascending-lex order with ||E| - 2 cut| <= 1 or None, sets examined),
-    p the graph's _pack, shared by both sizes."""
-    h = min(n, HIGH)
-    low = n - h
-    examined = 0
+def _search_sizes(n: int, sizes: tuple[int, ...], adj: list[int], deg: list[int], edge_total: int):
+    """The first balanced set of the sizes (one, or two consecutive, ascending) taken
+    one after another, each in ascending-lex order, or None.  One walk tests each
+    block once for both sizes: a k1 hit ends it, a k2 hit is kept in case k1 has none."""
+    p = _pack(n, adj, deg, edge_total)
+    h, low = min(n, HIGH), max(n - HIGH, 0)
+    k1, k2 = sizes[0], sizes[-1]
+    single, pair = p.size_masks + [0] * k1, p.pairs + [0] * k1  # no block has a set past h
+    masks, found = (pair if k2 > k1 else single), None  # masks narrow to k1 once k2 has its hit
     chosen: list[int] = []
 
     def rec(start: int, mask: int, cut: int, acc: int) -> bool:
-        # acc field H: cut(H) - 2 e(chosen, H)
-        nonlocal examined
+        # acc field H: cut(H) - 2 e(chosen, H), unused once |chosen| = k1
+        nonlocal masks, found
         depth = len(chosen)
-        for v in range(start, min(low, n - k + depth + 1) if depth < k else start):
+        if depth == k1:  # the k1-set itself, then each k2-set chosen + u: one at a time
+            if abs(edge_total - 2 * cut) <= 1:
+                found = tuple(chosen)
+                return True
+            for u in range(start, n) if masks is pair else ():
+                if abs(edge_total - 2 * (cut + deg[u] - 2 * (adj[u] & mask).bit_count())) <= 1:
+                    found, masks = (*chosen, u), single
+                    break
+            return False
+        for v in range(start, min(low, n - k1 + depth + 1)):
             chosen.append(v)
             grown = cut + deg[v] - 2 * (adj[v] & mask).bit_count()
-            if rec(v + 1, mask | 1 << v, grown, acc - p.rows[v]):
+            if rec(v + 1, mask | 1 << v, grown, acc - p.rows[v] if depth + 1 < k1 else acc):
                 return True
             chosen.pop()
-        s = k - depth
-        if s == 0:
-            examined += 1
-            return abs(edge_total - 2 * cut) <= 1
-        if s > h:
-            return False
-        # the block: chosen + H for every high H of size s, H in lex order
+        # the block: chosen + H for every high H, H in lex order within a size
         x = acc + cut * p.ones  # field H: cut(chosen + H)
         hits = 0
         for t in p.targets:
             hits |= p.guard - (x ^ t)  # guard survives where the field equals t
-        hits &= p.size_masks[s]
+        hits &= masks[k1 - depth]
         if not hits:
-            examined += comb(h, s)
             return False
-        top = hits.bit_length() - 1  # highest field: the lex-first hit
-        examined += (p.size_masks[s] >> top).bit_count()
-        x = top // p.width
-        chosen.extend(low + i for i in range(h) if x >> (h - 1 - i) & 1)
-        return True
+        own = hits & single[k1 - depth]  # the k1-sets among them
+        field = ((own or hits).bit_length() - 1) // p.width  # highest field: the lex-first hit
+        found, masks = (*chosen, *(low + i for i in range(h) if field >> (h - 1 - i) & 1)), single
+        return own > 0
 
-    found = rec(0, 0, 0, p.base)
-    return (tuple(chosen) if found else None), examined
+    rec(0, 0, 0, p.base)
+    return found
+
+
+def _rank(n: int, subset: tuple[int, ...]) -> int:
+    """1-based position of the ascending subset among its size's in combinations(range(n))."""
+    k, position = len(subset), 1
+    for i, (prev, v) in enumerate(zip((-1, *subset), subset)):  # sharing subset[:i], smaller at i
+        position += comb(n - 1 - prev, k - i) - comb(n - v, k - i)
+    return position
 
 
 def decide_parity(g: Graph) -> Verdict | None:
@@ -203,21 +217,21 @@ def decide_exhaustive(g: Graph, cfg: SearchConfig = SearchConfig()) -> Verdict:
     adj = _adjacency_masks(g)
     deg = [m.bit_count() for m in adj]
     sizes = feasible_even_counts(n)
-    packed, searched = None, 0  # the pack is built once a probe misses
-    for k in sizes:
-        hit, examined = (None, 0) if packed else _probe(n, k, adj, deg, g.edge_count)
-        if hit is None and examined < comb(n, k):
-            packed = packed or _pack(n, adj, deg, g.edge_count)
-            hit, examined = _search_size(n, k, adj, deg, g.edge_count, packed)
-        searched += examined
+    for i, k in enumerate(sizes):
+        hit, position = _probe(n, k, adj, deg, g.edge_count)
+        if hit is None and position < comb(n, k):  # the probe missed: walk what is left
+            hit = _search_sizes(n, sizes[i:], adj, deg, g.edge_count)
+            position = None if hit is None else _rank(n, hit)
+            break
         if hit is not None:
             break
     if hit is None:
         return Verdict(
             feasible=False,
-            searched=searched,
+            searched=sum(comb(n, k) for k in sizes),
             reason=f"no even-vertex set of size in {sizes} balances the edge labels",
         )
+    searched = sum(comb(n, k) for k in sizes if k < len(hit)) + position
     pattern = tuple(E if v in hit else O for v in range(n))
     witness = realize(g, pattern) if cfg.want_witness else None
     return Verdict(feasible=True, witness=witness, searched=searched)

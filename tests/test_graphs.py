@@ -208,6 +208,19 @@ def test_generated_edges_survive_the_validating_constructor(family, params):
     assert all(0 <= u < v < g.vertex_count for u, v in g.edges)
 
 
+def test_dense_families_list_edges_as_the_nested_loops_do():
+    # the order labelings depend on: u ascending, then v ascending
+    for n in range(1, 41):
+        assert list(generate(FamilySpec("complete", (n,))).edges) == [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+        ]
+        assert list(generate(FamilySpec("star", (n,))).edges) == [(0, 1 + b) for b in range(n)]
+        for m in range(1, 41):
+            assert list(generate(FamilySpec("complete_bipartite", (m, n))).edges) == [
+                (a, m + b) for a in range(m) for b in range(n)
+            ]
+
+
 # roles is a key the format no longer defines: the edge fault is what fails
 @pytest.mark.parametrize(
     "edges,roles",

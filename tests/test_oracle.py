@@ -29,7 +29,15 @@ from perrin_cordial import (
     to_parity,
 )
 from perrin_cordial import oracle
-from perrin_cordial.oracle import HIGH, PROBE, _adjacency_masks, _pack, _search_size, _tables
+from perrin_cordial.oracle import (
+    HIGH,
+    PROBE,
+    _adjacency_masks,
+    _pack,
+    _rank,
+    _search_sizes,
+    _tables,
+)
 from oracles import search_size_reference
 from strategies import graphs
 
@@ -288,33 +296,57 @@ def test_searched_is_position_in_combinations_order(g):
         assert {u for u in range(n) if pattern[u] is Parity.EVEN} == witness_set
 
 
+def _reference_walk(g, sizes):
+    # the sizes one after another, one set at a time
+    adj = _adjacency_masks(g)
+    deg = [a.bit_count() for a in adj]
+    searched = 0
+    for k in sizes:
+        hit, examined = search_size_reference(g.vertex_count, k, adj, deg, g.edge_count)
+        searched += examined
+        if hit is not None:
+            return hit, searched
+    return None, searched
+
+
 def _reference_verdict(g):
     # the whole decide_exhaustive verdict, rebuilt from the reference search
     n = g.vertex_count
-    adj = _adjacency_masks(g)
-    deg = [a.bit_count() for a in adj]
     sizes = feasible_even_counts(n)
-    searched = 0
-    for k in sizes:
-        hit, examined = search_size_reference(n, k, adj, deg, g.edge_count)
-        searched += examined
-        if hit is not None:
-            pattern = tuple(Parity.EVEN if v in hit else Parity.ODD for v in range(n))
-            return Verdict(feasible=True, witness=realize(g, pattern), searched=searched)
-    return Verdict(
-        feasible=False,
-        searched=searched,
-        reason=f"no even-vertex set of size in {sizes} balances the edge labels",
-    )
+    hit, searched = _reference_walk(g, sizes)
+    if hit is None:
+        return Verdict(
+            feasible=False,
+            searched=searched,
+            reason=f"no even-vertex set of size in {sizes} balances the edge labels",
+        )
+    pattern = tuple(Parity.EVEN if v in hit else Parity.ODD for v in range(n))
+    return Verdict(feasible=True, witness=realize(g, pattern), searched=searched)
 
 
-def _sizes_match_the_reference(g):
+def _walk(g, sizes):
+    # (hit, searched) from the package's walk over the sizes, ranked as decide_exhaustive does
     n, m = g.vertex_count, g.edge_count
     adj = _adjacency_masks(g)
     deg = [a.bit_count() for a in adj]
-    packed = _pack(n, adj, deg, m)
-    for k in feasible_even_counts(n):
-        assert _search_size(n, k, adj, deg, m, packed) == search_size_reference(n, k, adj, deg, m)
+    hit = _search_sizes(n, sizes, adj, deg, m)
+    if hit is None:
+        return None, sum(comb(n, k) for k in sizes)
+    return hit, sum(comb(n, k) for k in sizes if k < len(hit)) + _rank(n, hit)
+
+
+def _sizes_match_the_reference(g):
+    # both sizes, and k2 alone as when the probe exhausts k1
+    sizes = feasible_even_counts(g.vertex_count)
+    for i in range(len(sizes)):
+        assert _walk(g, sizes[i:]) == _reference_walk(g, sizes[i:])
+
+
+def test_rank_is_the_position_in_combinations_order():
+    for n in range(9):
+        for k in range(n + 1):
+            for position, subset in enumerate(itertools.combinations(range(n), k), start=1):
+                assert _rank(n, subset) == position
 
 
 @given(graphs(min_n=0, max_n=16))
@@ -363,12 +395,9 @@ def test_hit_in_a_single_set_block():
 def test_hit_inside_a_multi_set_block():
     # path(13), low part {0}: the hit takes the high part {1, 2, 4, 6, 12},
     # the 49th of the 792 five-sets in the block of {0}; decide_exhaustive's
-    # probe finds it first, so the block search is called directly
+    # probe finds it first, so the walk is called directly
     g = generate(FamilySpec("path", (13,)))
-    adj = _adjacency_masks(g)
-    deg = [a.bit_count() for a in adj]
-    packed = _pack(13, adj, deg, g.edge_count)
-    assert _search_size(13, 6, adj, deg, g.edge_count, packed) == ((0, 1, 2, 4, 6, 12), 49)
+    assert _walk(g, (6, 7)) == ((0, 1, 2, 4, 6, 12), 49)
     _sizes_match_the_reference(g)
     assert decide_exhaustive(g) == _reference_verdict(g)
 
@@ -400,28 +429,103 @@ def test_probe_and_block_meet_without_a_gap(monkeypatch, n, seed, searched, pack
     assert v == _reference_verdict(g)
 
 
-def _ring_with_triangle(n, seed):
-    # a Hamiltonian cycle in seeded order plus a triangle on three of its
-    # pairwise non-adjacent vertices: every degree even, |E| = n + 3
+def _ring_with_triangles(n, seed, count=1):
+    # a Hamiltonian cycle in seeded order plus `count` vertex-disjoint triangles,
+    # each on three pairwise non-adjacent cycle vertices: every degree even,
+    # |E| = n + 3 count
     order = list(range(n))
     random.Random(seed).shuffle(order)
     ring = {tuple(sorted(e)) for e in zip(order, order[1:] + order[:1])}
-    triangle = {tuple(sorted(e)) for e in itertools.combinations(order[0:15:5], 2)}
-    return Graph(n, tuple(sorted(ring | triangle)))
+    triangles = {
+        tuple(sorted(e))
+        for i in range(0, 2 * count, 2)
+        for e in itertools.combinations(order[i : i + 15 : 5], 2)
+    }
+    return Graph(n, tuple(sorted(ring | triangles)))
 
 
 @pytest.mark.parametrize(
-    "g",
-    [_seeded_gnp(17, 1217), _seeded_gnp(18, 1103), _ring_with_triangle(19, 4), _seeded_gnp(20, 1033)],
-    ids=["gnp17", "gnp18", "infeasible19", "gnp20"],
+    "g, feasible",
+    [
+        (_seeded_gnp(17, 1217), True),
+        (_seeded_gnp(18, 1103), True),
+        (_ring_with_triangles(19, 4), False),
+        (_seeded_gnp(20, 1033), True),
+        (_ring_with_triangles(20, 7, count=2), False),
+    ],
+    ids=["gnp17", "gnp18", "infeasible19", "gnp20", "infeasible20"],
 )
-def test_block_search_matches_the_reference_with_a_wide_low_part(g):
+def test_block_search_matches_the_reference_with_a_wide_low_part(g, feasible):
     # n = 17..20 leave 5..8 low vertices below the block
     assert g.vertex_count - HIGH in range(5, 9)
     _sizes_match_the_reference(g)
     v = decide_exhaustive(g)
     assert v == _reference_verdict(g)
-    assert v.feasible == (g.edge_count != 22)
+    assert v.feasible == feasible
+
+
+def _first_hits(g):
+    # ((first k1 hit, its position), (first k2 hit, its position)), one set at a time
+    adj = _adjacency_masks(g)
+    deg = [a.bit_count() for a in adj]
+    sizes = feasible_even_counts(g.vertex_count)
+    return [search_size_reference(g.vertex_count, k, adj, deg, g.edge_count) for k in sizes]
+
+
+@pytest.mark.parametrize(
+    "g, k1_hit, k2_hit",
+    [
+        (_seeded_gnp(16, 2704), ((0, 1, 2, 4, 5, 7, 10), 232), ((0, 1, 2, 3, 4, 5, 7, 8), 10)),
+        (
+            _seeded_gnp(22, 73),
+            ((0, 1, 2, 3, 4, 5, 7, 8, 14), 111),
+            ((0, 1, 2, 3, 4, 5, 6, 7, 8, 14), 6),
+        ),
+    ],
+    ids=["in_a_block", "beside_a_k1_leaf"],
+)
+def test_a_k1_hit_wins_over_an_earlier_k2_hit(g, k1_hit, k2_hit):
+    # the walk meets the k2 hit first.  At n = 16 it lies in the block of
+    # (0, 1, 2, 3), an extension of the k1 hit's low part (0, 1, 2), so that
+    # block comes first; at n = 22 it is (0..8) + 14, tested one at a time
+    # beside the k1-set (0..8), which the walk reaches before the k1 hit's low
+    # part (0..5, 7, 8).  The k1 hit still decides, at its own position.
+    assert _first_hits(g) == [k1_hit, k2_hit]
+    v = decide_exhaustive(g)
+    assert _even_set(v) == set(k1_hit[0]) and v.searched == k1_hit[1]
+    assert v == _reference_verdict(g)
+    _sizes_match_the_reference(g)
+
+
+def _odd_degree_gnp(n, seed):
+    # a seeded G(n, p) with one edge toggled per pair of even-degree vertices:
+    # every degree odd
+    g = _seeded_gnp(n, seed)
+    deg = [a.bit_count() for a in _adjacency_masks(g)]
+    even = [v for v in range(n) if deg[v] % 2 == 0]
+    return Graph(n, tuple(sorted(set(g.edges) ^ set(zip(even[::2], even[1::2])))))
+
+
+@pytest.mark.parametrize(
+    "g, k2_hit",
+    [
+        (_odd_degree_gnp(16, 11), ((0, 1, 2, 3, 4, 6, 7, 13), 51)),
+        (_odd_degree_gnp(22, 0), ((0, 1, 2, 3, 4, 5, 6, 7, 8, 12), 4)),
+    ],
+    ids=["in_a_block", "beside_a_k1_leaf"],
+)
+def test_without_a_k1_hit_the_first_k2_set_is_the_witness(g, k2_hit):
+    # every degree is odd, so cut(S) = |S| (mod 2), and |E| = 0 (mod 4) needs
+    # the even cut |E| / 2, which no set of the odd size k1 has; the walk meets
+    # the k2 hit in its first block (or first k1 leaf) and then exhausts k1
+    n = g.vertex_count
+    k1 = feasible_even_counts(n)[0]
+    assert k1 % 2 == 1 and g.edge_count % 4 == 0
+    assert _first_hits(g) == [(None, comb(n, k1)), k2_hit]
+    v = decide_exhaustive(g)
+    assert _even_set(v) == set(k2_hit[0]) and v.searched == comb(n, k1) + k2_hit[1]
+    assert v == _reference_verdict(g)
+    _sizes_match_the_reference(g)
 
 
 @pytest.mark.parametrize("h", range(9))
@@ -431,7 +535,7 @@ def test_doubled_tables_match_a_per_field_build(h):
         return {i for i in range(h) if x >> (h - 1 - i) & 1}
 
     for width in (4, 7, 10):
-        ones, guard, chunks, size_masks = _tables(h, width)
+        ones, guard, chunks, size_masks, pairs = _tables(h, width)
         fields = range(1 << h)
         assert ones == sum(1 << (x * width) for x in fields)
         assert guard == ones << (width - 1)
@@ -439,9 +543,10 @@ def test_doubled_tables_match_a_per_field_build(h):
             sum(1 << (x * width + width - 1) for x in fields if len(members(x)) == s)
             for s in range(h + 1)
         ]
+        assert pairs == [size_masks[s] | (size_masks + [0])[s + 1] for s in range(h + 1)]
         assert len(chunks) == HIGH // 4
         for c, table in enumerate(chunks):
             assert len(table) == 1 << len(range(4 * c, min(h, 4 * c + 4)))
             for m4, packed in enumerate(table):
                 mask = {4 * c + j for j in range(4) if m4 >> j & 1}
-                assert packed == sum(len(members(x) & mask) << (x * width) for x in fields)
+                assert packed == sum(2 * len(members(x) & mask) << (x * width) for x in fields)
