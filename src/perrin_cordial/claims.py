@@ -21,7 +21,7 @@ import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .construct import Infeasible, construct
+from .construct import CLASS_FAMILIES, Infeasible, construct
 from .graphs import FamilySpec
 from .labeling import PerrinLabeling
 
@@ -31,9 +31,6 @@ STAR_CLAIMED = frozenset(range(1, 33)) - {25}
 
 # bound on m+n for odd m, odd n, keyed by (m+n) mod 7; sufficient only
 ODD_ODD_BOUNDS = {0: 28, 1: 22, 2: 30, 3: 38, 4: 32, 5: 40, 6: 34}
-
-# families whose constructor is the class-count scan
-ANALYTIC_FAMILIES = frozenset({"complete", "complete_bipartite", "star", "bistar", "jellyfish"})
 
 
 @dataclass(frozen=True)
@@ -148,11 +145,11 @@ def default_grid(family: str) -> list[tuple[int, ...]]:
 def _tool_verdict(spec: FamilySpec) -> tuple[bool, str, PerrinLabeling | None]:
     """(verdict, decider, witness) from the family's constructor, at any size.
 
-    The decider is "analytic" for the class-scan families; elsewhere it is
-    "constructor" on a labeling and "parity" on Infeasible, its only source there.
+    The decider is "analytic" for CLASS_FAMILIES; elsewhere it is "constructor"
+    on a labeling and "parity" on Infeasible, its only source there.
     """
     got = construct(spec)
-    analytic = spec.name in ANALYTIC_FAMILIES
+    analytic = spec.name in CLASS_FAMILIES
     if isinstance(got, Infeasible):
         return False, "analytic" if analytic else "parity", None
     return True, "analytic" if analytic else "constructor", got.labeling

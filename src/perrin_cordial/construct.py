@@ -1,8 +1,9 @@
 """Cordial-labeling constructors for the ten graph families.
 
 construct(spec) is the one entry point: it hands the validated FamilySpec
-to the family's entry in CONSTRUCTORS, which reads its sizes from
-spec.params and validates nothing again.
+to the family's entry in CONSTRUCTORS, a block walk or a declared class
+quotient, which reads its sizes from spec.params and validates nothing
+again.  CLASS_FAMILIES, the families of the second kind, is read from it.
 
 Path, cycle, wheel, snake and friendship constructors walk a
 block-structured parity scheme (_block_scan).  Each candidate's number of
@@ -181,15 +182,9 @@ def _snake_walk(n: int):
 
 def _snake_build(n: int, s: int, p2: int) -> ParityPattern:
     p1 = s - 2 * p2 - 1
-    # path ids 0..n, tip ids n+1..2n (tip n+i over path edge (i-1, i))
-    pattern = [O] * (2 * n + 1)
-    for j in range(n - p2, n + 1):  # last p2+1 path vertices
-        pattern[j] = E
-    for i in range(1, p1 + 1):  # first p1 tips
-        pattern[n + i] = E
-    for i in range(n + 1 - p2, n + 1):  # last p2 tips
-        pattern[n + i] = E
-    return tuple(pattern)
+    # path ids 0..n, tip ids n+1..2n (tip n+i over path edge (i-1, i)): the last
+    # p2+1 path vertices, the first p1 tips and the last p2 tips are even
+    return (O,) * (n - p2) + (E,) * (p2 + 1 + p1) + (O,) * (n - p1 - p2) + (E,) * p2
 
 
 # ------------------------------------------------------------ friendship
@@ -210,12 +205,7 @@ def _friendship_walk(n: int):
 def _friendship_build(n: int, s: int, p1: int) -> ParityPattern:
     p2 = s - 2 * p1
     # apex id 0 stays odd; outer ids 1..2n; blade i = (2i-1, 2i)
-    pattern = [O] * (2 * n + 1)
-    for j in range(1, 2 * p1 + 1):
-        pattern[j] = E
-    for t in range(p2):
-        pattern[2 * p1 + 1 + 2 * t] = E
-    return tuple(pattern)
+    return (O,) + (E,) * (2 * p1) + (E, O) * p2 + (O,) * (2 * (n - p1 - p2))
 
 
 # ------------------------------------------------------ twin-class scan
@@ -296,40 +286,9 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
     )
 
 
-def _complete(spec: FamilySpec) -> Constructed | Infeasible:
-    # K_n: one clique class, so only the even count matters
-    return _class_scan(spec, spec.params, cliques=(0,))
-
-
-def _complete_bipartite(spec: FamilySpec) -> Constructed | Infeasible:
-    # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
-    return _class_scan(spec, spec.params, joins=((0, 1),))
-
-
-def _star(spec: FamilySpec) -> Constructed | Infeasible:
-    # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
-    (n,) = spec.params
-    return _class_scan(spec, (1, n), joins=((0, 1),), singles=1)
-
-
-def _bistar(spec: FamilySpec) -> Constructed | Infeasible:
-    # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
-    # (m+n = 3 is the smallest) need other apex parities
-    m, n = spec.params
-    return _class_scan(spec, (1, 1, m, n), joins=((0, 1), (0, 2), (1, 3)), singles=2)
-
-
-def _jellyfish(spec: FamilySpec) -> Constructed | Infeasible:
-    # the pinned internal parities come first: v1,v3 even, its mirror v2,v4,
-    # then one even internal
-    m1, m2 = spec.params
-    return _class_scan(
-        spec,
-        (1, 1, 1, 1, m1, m2),
-        joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
-        singles=4,
-        preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,)),
-    )
+def _class_family(spec: FamilySpec, singles=0, **quotient) -> Constructed | Infeasible:
+    # `singles` single-vertex classes, then one class per parameter
+    return _class_scan(spec, (1,) * singles + spec.params, singles=singles, **quotient)
 
 
 # each family's constructor, a function of its validated FamilySpec
@@ -338,20 +297,35 @@ CONSTRUCTORS = {
     "path": partial(_block_scan, walk=_path_walk, build=_path_build),
     # Infeasible when n = 2 (mod 4)
     "cycle": partial(_block_scan, walk=_ring_walk, build=_ring_pattern),
-    "complete": _complete,
-    "complete_bipartite": _complete_bipartite,
-    "star": _star,
+    # K_n: one clique class, so only the even count matters
+    "complete": partial(_class_family, cliques=(0,)),
+    # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
+    "complete_bipartite": partial(_class_family, joins=((0, 1),)),
+    # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
+    "star": partial(_class_family, joins=((0, 1),), singles=1),
     # always succeeds
     "wheel": partial(_block_scan, walk=partial(_ring_walk, spokes=True), build=_wheel_build),
-    "bistar": _bistar,
+    # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
+    # (m+n = 3 is the smallest) need other apex parities
+    "bistar": partial(_class_family, joins=((0, 1), (0, 2), (1, 3)), singles=2),
     # Infeasible when n = 2 (mod 4)
     "triangular_snake": partial(_block_scan, walk=_snake_walk, build=_snake_build),
     # Infeasible when n = 2 (mod 4)
     "friendship": partial(_block_scan, walk=_friendship_walk, build=_friendship_build),
     # Infeasible exactly when m2 - 13*m1 is in {39, 45, 46, 47, 49} or is at
-    # least 51, for m1 <= m2 (measured for m1 <= 40); the smallest is (0, 39)
-    "jellyfish": _jellyfish,
+    # least 51, for m1 <= m2 (measured for m1 <= 40); the smallest is (0, 39).
+    # The pinned internal parities come first: v1,v3 even, its mirror v2,v4,
+    # then one even internal
+    "jellyfish": partial(
+        _class_family,
+        joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
+        singles=4,
+        preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,)),
+    ),
 }
+
+# the families whose constructor is a declared class quotient
+CLASS_FAMILIES = frozenset(f for f, c in CONSTRUCTORS.items() if c.func is _class_family)
 
 
 def construct(spec: FamilySpec) -> Constructed | Infeasible:

@@ -31,19 +31,23 @@ from __future__ import annotations
 from dataclasses import KW_ONLY, dataclass
 from itertools import combinations, product
 
-# each family's parameter names and the lower bound they all share
+# each family's parameter names, the lower bound they all share and its edge count
 _FAMILIES = {
-    "path": ("n", 1),
-    "cycle": ("n", 3),
-    "complete": ("n", 1),
-    "complete_bipartite": ("m n", 1),
-    "star": ("n", 1),
-    "wheel": ("n", 3),
-    "bistar": ("m n", 1),
-    "triangular_snake": ("n", 1),
-    "friendship": ("n", 1),
-    "jellyfish": ("m1 m2", 0),
+    "path": ("n", 1, lambda n: n - 1),
+    "cycle": ("n", 3, lambda n: n),
+    "complete": ("n", 1, lambda n: n * (n - 1) // 2),
+    "complete_bipartite": ("m n", 1, lambda m, n: m * n),
+    "star": ("n", 1, lambda n: n),
+    "wheel": ("n", 3, lambda n: 2 * n),
+    "bistar": ("m n", 1, lambda m, n: m + n + 1),
+    "triangular_snake": ("n", 1, lambda n: 3 * n),
+    "friendship": ("n", 1, lambda n: 3 * n),
+    "jellyfish": ("m1 m2", 0, lambda m1, m2: m1 + m2 + 5),
 }
+
+# generate builds no graph with more edges: label complete_bipartite 2000 2001
+# (4,002,000 edges) peaks at 322 MB, gen at 397 MB
+_EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)
 
@@ -66,7 +70,7 @@ class FamilySpec:
             # no silent int(): 2.7 and "3" are not sizes, and True is not 1
             if isinstance(p, bool) or not isinstance(p, int):
                 raise FamilyParameterError(f"{self.name} parameters must be integers, got {p!r}")
-        names, lo = _FAMILIES[self.name]
+        names, lo, _ = _FAMILIES[self.name]
         names = names.split()
         if len(self.params) != len(names):
             raise FamilyParameterError(
@@ -129,9 +133,13 @@ def generate(spec: FamilySpec) -> Graph:
     """Build the family graph with canonical numbering.
 
     Each branch must list its edges as (u, v) with u < v, distinct and in
-    sorted order: _trusted stores them as they are.
+    sorted order: _trusted stores them as they are.  A graph with more than
+    _EDGES_MAX edges raises FamilyParameterError before anything is built.
     """
     name, params = spec.name, spec.params
+    size = _FAMILIES[name][2](*params)
+    if size > _EDGES_MAX:
+        raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")
     if name == "path":
         (n,) = params
         edges, count = [(i, i + 1) for i in range(n - 1)], n
@@ -171,12 +179,10 @@ def generate(spec: FamilySpec) -> Graph:
         edges = [(0, i) for i in range(1, 2 * n + 1)]
         edges += [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
         count = 2 * n + 1
-    elif name == "jellyfish":
+    else:  # jellyfish
         m1, m2 = params
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
         edges += [(2, 4 + i) for i in range(m1)]
         edges += [(3, 4 + m1 + i) for i in range(m2)]
         count = m1 + m2 + 4
-    else:
-        raise FamilyParameterError(f"unknown family {name!r}")
     return _trusted(count, edges, spec)

@@ -4,9 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
+
+from perrin_cordial import FamilySpec, Infeasible, construct, feasible_even_counts, generate, write_graph
+from perrin_cordial.cli import main
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -129,6 +134,29 @@ def test_decide_exit_codes(tmp_path):
     r = run_cli("decide", "--graph", str(g))
     assert r.returncode == 2
     assert "capped at 24" in r.stderr
+
+
+@pytest.mark.parametrize("max_n", ["60", "-1"])
+def test_decide_max_n_outside_its_range_is_an_input_error(tmp_path, max_n):
+    # checked before the graph is read: K_40 at --max-n 60 would search about 2.4e11 sets
+    g = tmp_path / "g.json"
+    g.write_text(write_graph(generate(FamilySpec("complete", (40,)))))
+    r = run_cli("decide", "--graph", str(g), "--max-n", max_n)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: --max-n: must be between 0 and 28, got {max_n}\n"
+
+
+def test_decide_proves_k25_to_k28_at_the_max_n_ceiling(tmp_path, capsys):
+    # K_n is the slowest graph on n vertices; the class scan agrees
+    for n in range(25, 29):
+        g = tmp_path / f"k{n}.json"
+        g.write_text(write_graph(generate(FamilySpec("complete", (n,)))))
+        assert main(["decide", "--graph", str(g), "--max-n", "28"]) == 1
+        k1, k2 = feasible_even_counts(n)
+        out = capsys.readouterr().out
+        assert out.startswith(f"infeasible\tsearched={comb(n, k1) + comb(n, k2)}\t"), out
+        assert isinstance(construct(FamilySpec("complete", (n,))), Infeasible)
 
 
 def test_decide_rejects_more_edges_than_a_simple_graph_has(tmp_path):
@@ -280,6 +308,23 @@ def test_sweep_bad_grid_point_is_an_input_error():
     r = run_cli("sweep", "bistar", "--range", "1:2")
     assert r.returncode == 2
     assert r.stderr.startswith("error: bistar takes 2 parameter(s)")
+
+
+def test_a_family_graph_past_the_edge_bound_is_an_input_error():
+    # the count comes from the parameters, so nothing is allocated first
+    t = time.perf_counter()
+    r = run_cli("gen", "path", "100000000")
+    assert time.perf_counter() - t < 10
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: path(100000000,) has 99,999,999 edges, over the 5,000,000 limit\n"
+
+
+def test_a_class_scan_that_builds_no_graph_has_no_edge_bound():
+    # K_1000000 has about 5e11 edges, but its scan proves it infeasible unbuilt
+    r = run_cli("label", "complete", "1000000")
+    assert r.returncode == 1
+    assert r.stderr.startswith("infeasible: complete(1000000): none of 2 even-count vectors")
 
 
 def test_bad_parameters_exit_code():

@@ -497,6 +497,44 @@ BLOCK_WALKS = {
 }
 
 
+def _snake_reference(n, s, p2):
+    # the index-loop builder: path ids 0..n, tip ids n+1..2n
+    p1 = s - 2 * p2 - 1
+    pattern = [O] * (2 * n + 1)
+    for j in range(n - p2, n + 1):  # last p2+1 path vertices
+        pattern[j] = E
+    for i in range(1, p1 + 1):  # first p1 tips
+        pattern[n + i] = E
+    for i in range(n + 1 - p2, n + 1):  # last p2 tips
+        pattern[n + i] = E
+    return tuple(pattern)
+
+
+def _friendship_reference(n, s, p1):
+    # the index-loop builder: apex 0 odd, blade i = (2i-1, 2i)
+    p2 = s - 2 * p1
+    pattern = [O] * (2 * n + 1)
+    for j in range(1, 2 * p1 + 1):
+        pattern[j] = E
+    for t in range(p2):
+        pattern[2 * p1 + 1 + 2 * t] = E
+    return tuple(pattern)
+
+
+@pytest.mark.parametrize(
+    "walk,build,reference",
+    [
+        (_construct._snake_walk, _construct._snake_build, _snake_reference),
+        (_construct._friendship_walk, _construct._friendship_build, _friendship_reference),
+    ],
+    ids=["triangular_snake", "friendship"],
+)
+def test_block_builders_match_the_index_loop_builders(walk, build, reference):
+    for n in range(1, 301):
+        for key, _ in walk(n):
+            assert build(n, *key) == reference(n, *key), (n, key)
+
+
 @pytest.mark.parametrize("family", BLOCK_WALKS)
 def test_block_walk_cut_is_the_real_tally(family):
     # every candidate of the walk, also at n = 2 (mod 4) where the

@@ -1,9 +1,12 @@
 """Family generators: sizes, connectivity, and the validated rebuild of their output."""
 
+from itertools import product
+
 import pytest
 
 from oracles import is_connected
 from perrin_cordial import (
+    FAMILY_NAMES,
     FamilyParameterError,
     FamilySpec,
     FormatError,
@@ -11,6 +14,7 @@ from perrin_cordial import (
     generate,
     read_graph,
 )
+from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES
 
 SIZE_CASES = [
     # (family, params, vertices, edges)
@@ -63,6 +67,21 @@ def test_size_closed_forms_over_grid():
             assert generate(FamilySpec("complete_bipartite", (m, n))).edge_count == m * n
             assert generate(FamilySpec("bistar", (m, n))).edge_count == m + n + 1
             assert generate(FamilySpec("jellyfish", (m, n))).edge_count == m + n + 5
+    # the table's counts, which generate checks against its bound before building
+    for family in FAMILY_NAMES:
+        names, lo, edge_count = _FAMILIES[family]
+        for params in product(range(lo, lo + 8), repeat=len(names.split())):
+            assert edge_count(*params) == generate(FamilySpec(family, params)).edge_count
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("path", (_EDGES_MAX + 2,)), ("complete", (3163,)), ("complete_bipartite", (3000, 3000))],
+)
+def test_generate_rejects_a_graph_past_the_edge_bound(family, params):
+    with pytest.raises(FamilyParameterError) as err:
+        generate(FamilySpec(family, params))
+    assert f"{_EDGES_MAX:,}" in str(err.value)
 
 
 def test_jellyfish_topology():

@@ -429,6 +429,14 @@ def test_probe_and_block_meet_without_a_gap(monkeypatch, n, seed, searched, pack
     assert v == _reference_verdict(g)
 
 
+def test_graphs_up_to_the_cli_ceiling_match_the_reference():
+    # 25..28 vertices, past the default cap and up to CLI decide's --max-n
+    # ceiling: a low part of up to 16 vertices, 8 of the 60 hits past the probe
+    for seed in range(60):
+        g = _seeded_gnp(25 + seed % 4, seed)
+        assert decide_exhaustive(g, SearchConfig(max_vertices=28)) == _reference_verdict(g), seed
+
+
 def _ring_with_triangles(n, seed, count=1):
     # a Hamiltonian cycle in seeded order plus `count` vertex-disjoint triangles,
     # each on three pairwise non-adjacent cycle vertices: every degree even,
