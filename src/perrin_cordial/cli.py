@@ -8,15 +8,17 @@ Exit codes: 0 success / feasible / cordial, 1 infeasible / not cordial,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import claims as claims_mod
 from .construct import Infeasible, construct
-from .graph_io import FormatError, export_dot, read_graph, read_labeling, write_graph, write_labeling
+from .graph_io import FormatError, dot_lines, read_graph, read_labeling, write_graph, write_labeling
 from .graphs import FamilyParameterError, FamilySpec, generate
 from .labeling import is_cordial, is_valid, tally, to_parity
 from .oracle import SearchConfig, decide_exhaustive, decide_parity
@@ -34,11 +36,10 @@ def _family_name(raw: str) -> str:
     return _FAMILY_ALIASES.get(raw, raw)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or each of its pieces as it comes, to the file out or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        stream.writelines([text] if isinstance(text, str) else text)
 
 
 def _read(path: str) -> str:
@@ -83,7 +84,7 @@ def cmd_label(args) -> int:
     if args.json:
         Path(args.json).write_text(write_labeling(got.labeling))
     if args.dot:
-        Path(args.dot).write_text(export_dot(generate(spec), got.labeling))
+        _emit(dot_lines(generate(spec), got.labeling), args.dot)
     return 0
 
 
@@ -179,7 +180,7 @@ def cmd_export_dot(args) -> int:
     if not is_valid(g, f):
         print("invalid: labeling is not valid for this graph", file=sys.stderr)
         return 2
-    _emit(export_dot(g, f), args.out)
+    _emit(dot_lines(g, f), args.out)
     return 0
 
 

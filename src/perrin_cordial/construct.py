@@ -6,9 +6,10 @@ quotient, which reads its sizes from spec.params and validates nothing
 again.  CLASS_FAMILIES, the families of the second kind, is read from it.
 
 Path, cycle, wheel, snake and friendship constructors walk a
-block-structured parity scheme (_block_scan).  Each candidate's number of
-odd edges is an exact closed form in its block sizes, tested against the
-real tally, so only the first balanced candidate is built and tallied.
+block-structured parity scheme (_block_scan).  A walk yields each
+candidate's blocks, (size, first, last) runs in vertex-id order, and its
+number of odd edges, an exact closed form tested against the real tally,
+so only the first balanced candidate is built (_blocks_pattern) and tallied.
 For n = 7p the path and friendship walks start in the paper's pinned
 even count.  Shapes with n = 2 (mod 4) are proven infeasible by the
 degree-parity certificate (oracle.decide_parity).
@@ -82,20 +83,20 @@ def _gate(g: Graph, pattern: ParityPattern) -> Constructed:
     return Constructed(labeling=realize(g, pattern), tally=t)
 
 
-def _block_scan(spec: FamilySpec, walk, build) -> Constructed | Infeasible:
-    """Infeasible by the degree-parity certificate, else the first balanced key of the walk.
+def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
+    """Infeasible by the degree-parity certificate, else the first balanced candidate of the walk.
 
-    walk(n) yields (key, cut) with cut the key's exact number of odd edges;
-    only the hit is built, by build(n, *key) -> pattern, and tallied.
+    walk(n) yields (blocks, cut) with cut the blocks' exact number of odd
+    edges; only the hit's pattern is built and tallied.
     """
     (n,) = spec.params
     g = generate(spec)
     proof = decide_parity(g)
     if proof is not None:
         return Infeasible(proof.reason)
-    for key, cut in walk(n):
+    for blocks, cut in walk(n):
         if -1 <= g.edge_count - 2 * cut <= 1:
-            return _gate(g, build(n, *key))
+            return _gate(g, _blocks_pattern(blocks))
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
 
 
@@ -116,16 +117,19 @@ def _line_cut(blocks) -> int:
     return cut
 
 
-def _alt(p2: int) -> tuple[Parity, ...]:
-    # alternating block, odd first
-    return (O, E) * p2
+def _blocks_pattern(blocks) -> ParityPattern:
+    """The parity pattern of blocks (size, first, last) in vertex-id order."""
+    pattern: ParityPattern = ()
+    for size, first, last in blocks:
+        pattern += (first,) * size if first is last else (first, last) * (size // 2)
+    return pattern
 
 
 # ---------------------------------------------------------------- paths
 
 
 def _path_walk(n: int):
-    """Keys (s, q1, p2) of O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens."""
+    """Blocks O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens."""
     # the paper's n = 7p choice opens with an odd vertex: try q1 = 1 first
     q1s = (1, 0) if n % 7 == 0 else (0, 1)
     for s in feasible_even_counts(n):
@@ -133,65 +137,48 @@ def _path_walk(n: int):
         for q1 in q1s:
             for p2 in range(min(s, odds - q1) + 1):
                 blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (odds - q1 - p2, O, O))
-                yield (s, q1, p2), _line_cut(blocks)
-
-
-def _path_build(n: int, s: int, q1: int, p2: int) -> ParityPattern:
-    return (O,) * q1 + (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - q1 - p2)
+                yield blocks, _line_cut(blocks)
 
 
 # ------------------------------------------------------- cycles and wheels
 
 
 def _ring_walk(n: int, spokes: bool = False):
-    """Keys (s, p2) of the ring E^p1 (OE)^p2 O^tail on n vertices, p1 = s - p2, plus one
-    odd spoke per even rim vertex if spokes.  The cut, 2 p2 + 2 (+ s) while E^p1 and the
-    tail are non-empty and 2 p2 (+ s) at p2 = min(s, n - s), grows with p2, so each s
-    yields only the least inner p2 whose cut reaches (|E| - 1) / 2, then that end."""
+    """Blocks of the ring E^p1 (OE)^p2 O^tail on n vertices, p1 = s - p2, after an odd
+    hub (vertex 0) with one spoke per even rim vertex if spokes.  The cut, 2 p2 + 2 (+ s)
+    while E^p1 and the tail are non-empty and 2 p2 (+ s) at p2 = min(s, n - s), grows with
+    p2, so each s yields only the least inner p2 whose cut reaches (|E| - 1) / 2, then that end."""
     m = 2 * n if spokes else n
     for s in feasible_even_counts(n + spokes):
         c, end = s * spokes, min(s, n - s)
-        p2 = max(0, -((5 + 2 * c - m) // 4))
-        if p2 < end:
-            yield (s, p2), 2 * p2 + 2 + c
-        yield (s, end), 2 * end + c
-
-
-def _ring_pattern(n: int, s: int, p2: int) -> ParityPattern:
-    return (E,) * (s - p2) + _alt(p2) + (O,) * (n - s - p2)
-
-
-def _wheel_build(n: int, s: int, p2: int) -> ParityPattern:
-    # hub is vertex 0 and stays odd in this scheme
-    return (O,) + _ring_pattern(n, s, p2)
+        lo = max(0, -((5 + 2 * c - m) // 4))
+        for p2 in (lo, end) if lo < end else (end,):
+            blocks = ((int(spokes), O, O), (s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O))
+            yield blocks, 2 * p2 + 2 * (p2 < end) + c
 
 
 # ------------------------------------------------------ triangular snakes
 
 
 def _snake_walk(n: int):
-    """Keys (s, p2): the last p2 + 1 path vertices and p2 tips even, then p1 leading tips."""
+    """Blocks with the last p2 + 1 path vertices and p2 tips even, then p1 leading tips;
+    path ids 0..n, then tip ids n+1..2n (tip n+i over path edge (i-1, i))."""
     for s in feasible_even_counts(2 * n + 1):
         for p2 in range(min(n, (s - 1) // 2) + 1):
             p1 = s - 2 * p2 - 1
             if p1 + p2 <= n:
                 # where the path turns even, one odd path edge and one odd tip
                 # edge; two per even tip over the odd path
-                yield (s, p2), 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
-
-
-def _snake_build(n: int, s: int, p2: int) -> ParityPattern:
-    p1 = s - 2 * p2 - 1
-    # path ids 0..n, tip ids n+1..2n (tip n+i over path edge (i-1, i)): the last
-    # p2+1 path vertices, the first p1 tips and the last p2 tips are even
-    return (O,) * (n - p2) + (E,) * (p2 + 1 + p1) + (O,) * (n - p1 - p2) + (E,) * p2
+                blocks = ((n - p2, O, O), (p2 + 1 + p1, E, E), (n - p1 - p2, O, O), (p2, E, E))
+                yield blocks, 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
 
 
 # ------------------------------------------------------------ friendship
 
 
 def _friendship_walk(n: int):
-    """Keys (s, p1): p1 all-even blades, then p2 = s - 2*p1 blades with one even tip."""
+    """Blocks with p1 all-even blades, then p2 = s - 2*p1 blades with one even tip;
+    the apex, id 0, stays odd, and blade i is ids (2i-1, 2i)."""
     sizes = feasible_even_counts(2 * n + 1)
     # the paper's n = 7p choice skips an odd index: try s = even_count first
     for s in sizes[::-1] if n % 7 == 0 else sizes:
@@ -199,24 +186,11 @@ def _friendship_walk(n: int):
             p2 = s - 2 * p1
             if p1 + p2 <= n:
                 # the odd apex meets every even tip; a half-even blade cuts its edge
-                yield (s, p1), 2 * (p1 + p2)
-
-
-def _friendship_build(n: int, s: int, p1: int) -> ParityPattern:
-    p2 = s - 2 * p1
-    # apex id 0 stays odd; outer ids 1..2n; blade i = (2i-1, 2i)
-    return (O,) + (E,) * (2 * p1) + (E, O) * p2 + (O,) * (2 * (n - p1 - p2))
+                blocks = ((1, O, O), (2 * p1, E, E), (2 * p2, E, O), (2 * (n - p1 - p2), O, O))
+                yield blocks, 2 * (p1 + p2)
 
 
 # ------------------------------------------------------ twin-class scan
-
-
-def _class_pattern(sizes, a) -> ParityPattern:
-    """Class i owns the next sizes[i] vertex ids; the first a[i] of them are even."""
-    pattern: ParityPattern = ()
-    for t, k in zip(sizes, a):
-        pattern += (E,) * k + (O,) * (t - k)
-    return pattern
 
 
 def _class_cut(sizes, cliques, joins, a) -> int:
@@ -251,7 +225,8 @@ def _single_parities(singles: int, preferred) -> tuple:
 def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, preferred=()):
     """First even-count vector of the declared quotient that balances spec's graph.
 
-    sizes lists `singles` single vertices, then one or two larger classes.
+    sizes lists `singles` single vertices, then one or two larger classes; class i
+    owns the next sizes[i] vertex ids, and a hit makes the first a[i] of them even.
     """
     # n and |E| come from the quotient; the graph is built only to gate a hit
     n, total = sum(sizes), sum(sizes[i] * sizes[j] for i, j in joins)
@@ -261,24 +236,28 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
     # (+4 per clique among the two run classes, -8 if they are joined) give the rest
     p, q = len(sizes) - 2, len(sizes) - 1
     dd = 4 * ((p in cliques) + (q in cliques)) - 8 * ((p, q) in joins or (q, p) in joins)
-    tried, misses = 0, []
+    # the nearest misses on each side; |eps| <= total, so the sentinels are never misses
+    tried, below, above = 0, -total - 2, total + 2
     for head in _single_parities(singles, preferred):
         for s in counts:
             first, length = _run(s - sum(head), multi)
             e, d = total - 2 * _class_cut(sizes, cliques, joins, head + first), 0
             for j in range(length):
                 if -1 <= e <= 1:
-                    return _gate(generate(spec), _class_pattern(sizes, head + _step(first, j)))
-                misses.append(e)
+                    a = head + _step(first, j)
+                    blocks = [b for t, k in zip(sizes, a) for b in ((k, E, E), (t - k, O, O))]
+                    return _gate(generate(spec), _blocks_pattern(blocks))
+                if below < e < 0:
+                    below = e
+                elif 0 < e < above:
+                    above = e
                 if j == 0 and length > 1:
                     d = total - 2 * _class_cut(sizes, cliques, joins, head + _step(first, 1)) - e
                     if d == dd == 0:
                         break  # eps is constant along this run, so the rest misses too
                 e, d = e + d, d + dd
             tried += length
-    below = max((e for e in misses if e < 0), default=0)
-    above = min((e for e in misses if e > 0), default=0)
-    nearest = [f"epsilon={e}" for e in (below, above) if e]
+    nearest = [f"epsilon={e}" for e in (below, above) if abs(e) <= total]
     return Infeasible(
         f"{_name(spec)}: none of {tried} even-count vectors over classes {sizes} reaches "
         f"|epsilon| <= 1 (nearest: {', '.join(nearest) or 'none'}); vertices within a class "
@@ -294,9 +273,9 @@ def _class_family(spec: FamilySpec, singles=0, **quotient) -> Constructed | Infe
 # each family's constructor, a function of its validated FamilySpec
 CONSTRUCTORS = {
     # always succeeds
-    "path": partial(_block_scan, walk=_path_walk, build=_path_build),
+    "path": partial(_block_scan, walk=_path_walk),
     # Infeasible when n = 2 (mod 4)
-    "cycle": partial(_block_scan, walk=_ring_walk, build=_ring_pattern),
+    "cycle": partial(_block_scan, walk=_ring_walk),
     # K_n: one clique class, so only the even count matters
     "complete": partial(_class_family, cliques=(0,)),
     # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
@@ -304,14 +283,14 @@ CONSTRUCTORS = {
     # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
     "star": partial(_class_family, joins=((0, 1),), singles=1),
     # always succeeds
-    "wheel": partial(_block_scan, walk=partial(_ring_walk, spokes=True), build=_wheel_build),
+    "wheel": partial(_block_scan, walk=partial(_ring_walk, spokes=True)),
     # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
     # (m+n = 3 is the smallest) need other apex parities
     "bistar": partial(_class_family, joins=((0, 1), (0, 2), (1, 3)), singles=2),
     # Infeasible when n = 2 (mod 4)
-    "triangular_snake": partial(_block_scan, walk=_snake_walk, build=_snake_build),
+    "triangular_snake": partial(_block_scan, walk=_snake_walk),
     # Infeasible when n = 2 (mod 4)
-    "friendship": partial(_block_scan, walk=_friendship_walk, build=_friendship_build),
+    "friendship": partial(_block_scan, walk=_friendship_walk),
     # Infeasible exactly when m2 - 13*m1 is in {39, 45, 46, 47, 49} or is at
     # least 51, for m1 <= m2 (measured for m1 <= 40); the smallest is (0, 39).
     # The pinned internal parities come first: v1,v3 even, its mirror v2,v4,

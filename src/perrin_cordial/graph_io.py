@@ -24,7 +24,7 @@ ODD_COLOR = "black"
 
 # largest vertex_count read_graph accepts; read_graph allocates nothing per
 # vertex, but decide_parity's degree list, is_valid's vertex set and
-# export_dot's per-vertex lines do
+# dot_lines' parity pattern do
 _VERTEX_COUNT_MAX = 10_000_000
 
 
@@ -135,8 +135,8 @@ def read_labeling(text: str) -> PerrinLabeling:
     return PerrinLabeling(assignment=assignment, domain_max=domain_max)
 
 
-def export_dot(g: Graph, f: PerrinLabeling) -> str:
-    """Figure-style DOT text: red for even labels, black for odd.
+def dot_lines(g: Graph, f: PerrinLabeling):
+    """Figure-style DOT text, line by line as it is made: red for even labels, black for odd.
 
     Vertices carry their sequence-index name (P_i); edges are colored by
     their induced label (0 red, 1 black).  Output is byte-stable for
@@ -145,12 +145,16 @@ def export_dot(g: Graph, f: PerrinLabeling) -> str:
     if not is_valid(g, f):
         raise ValueError("labeling is not valid for this graph")
     pattern = to_parity(f)
-    lines = ["graph {", "  node [shape=circle];"]
+    yield "graph {\n  node [shape=circle];\n"
     for v in range(g.vertex_count):
         color = EVEN_COLOR if pattern[v] is Parity.EVEN else ODD_COLOR
-        lines.append(f'  {v} [label="P_{f.assignment[v]}" color={color} fontcolor={color}];')
+        yield f'  {v} [label="P_{f.assignment[v]}" color={color} fontcolor={color}];\n'
     for u, v in g.edges:
         color = EVEN_COLOR if pattern[u] is pattern[v] else ODD_COLOR
-        lines.append(f"  {u} -- {v} [color={color}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {u} -- {v} [color={color}];\n"
+    yield "}\n"
+
+
+def export_dot(g: Graph, f: PerrinLabeling) -> str:
+    """The DOT text of dot_lines(g, f) as one string."""
+    return "".join(dot_lines(g, f))

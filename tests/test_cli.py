@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from perrin_cordial import FamilySpec, Infeasible, construct, feasible_even_counts, generate, write_graph
+from perrin_cordial import (
+    FamilySpec,
+    Infeasible,
+    construct,
+    export_dot,
+    feasible_even_counts,
+    generate,
+    write_graph,
+)
 from perrin_cordial.cli import main
 
 
@@ -221,10 +229,14 @@ def test_export_dot_byte_stable(tmp_path):
 
 
 def test_label_dot_output(tmp_path):
+    # label --dot writes its lines as they are made; the file is export_dot's
+    # text, for a class-scan and a block-walk construction
     dot = tmp_path / "x.dot"
-    r = run_cli("label", "star", "5", "--dot", str(dot))
-    assert r.returncode == 0
-    assert dot.read_text().startswith("graph {")
+    for family, params in (("star", (5,)), ("wheel", (9,))):
+        r = run_cli("label", family, *map(str, params), "--dot", str(dot))
+        assert r.returncode == 0
+        spec = FamilySpec(family, params)
+        assert dot.read_bytes() == export_dot(generate(spec), construct(spec).labeling).encode()
 
 
 def test_sweep_csv(tmp_path):

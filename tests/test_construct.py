@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -119,6 +120,19 @@ def test_complete_trivial_and_infeasible():
     r = construct(FamilySpec("complete", (5,)))
     assert isinstance(r, Infeasible)
     assert "epsilon=-2" in r.reason and "epsilon=2" in r.reason
+
+
+def test_infeasible_class_scan_keeps_only_its_nearest_misses():
+    # K_{20001,20001} misses with 34,291 count vectors; the reason names two of them
+    tracemalloc.start()
+    try:
+        r = construct(FamilySpec("complete_bipartite", (20001, 20001)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(r, Infeasible)
+    assert "none of 34291 " in r.reason and "(nearest: epsilon=-5713, epsilon=5711)" in r.reason
+    assert peak < 100_000
 
 
 def test_complete_verdict_over_hundred_matches_independent_recount():
@@ -489,12 +503,23 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
 
 
 BLOCK_WALKS = {
-    "path": (_construct._path_walk, _construct._path_build, range(1, 81)),
-    "cycle": (_construct._ring_walk, _construct._ring_pattern, range(3, 81)),
-    "wheel": (partial(_construct._ring_walk, spokes=True), _construct._wheel_build, range(3, 81)),
-    "triangular_snake": (_construct._snake_walk, _construct._snake_build, range(1, 61)),
-    "friendship": (_construct._friendship_walk, _construct._friendship_build, range(1, 61)),
+    "path": (_construct._path_walk, range(1, 81)),
+    "cycle": (_construct._ring_walk, range(3, 81)),
+    "wheel": (partial(_construct._ring_walk, spokes=True), range(3, 81)),
+    "triangular_snake": (_construct._snake_walk, range(1, 61)),
+    "friendship": (_construct._friendship_walk, range(1, 61)),
 }
+
+
+def test_blocks_pattern_runs_in_order():
+    # zero-size blocks add nothing; an alternating block starts with its first parity
+    bp = _construct._blocks_pattern
+    assert bp(()) == ()
+    assert bp(((0, O, O), (0, E, E), (0, O, E), (0, E, O))) == ()
+    assert bp(((3, E, E), (2, O, O))) == (E, E, E, O, O)
+    assert bp(((4, O, E),)) == (O, E, O, E)
+    assert bp(((4, E, O),)) == (E, O, E, O)
+    assert bp(((1, O, O), (0, E, E), (2, E, O), (2, O, E), (1, E, E))) == (O, E, O, O, E, E)
 
 
 def _snake_reference(n, s, p2):
@@ -521,45 +546,57 @@ def _friendship_reference(n, s, p1):
     return tuple(pattern)
 
 
+def _snake_key(blocks):
+    # (s, p2): E^(p2+1+p1) on the path and E^p2 as the last tips
+    return blocks[1][0] + blocks[3][0], blocks[3][0]
+
+
+def _friendship_key(blocks):
+    # (s, p1): 2 p1 even tips, then p2 blades (E, O)
+    return blocks[1][0] + blocks[2][0] // 2, blocks[1][0] // 2
+
+
 @pytest.mark.parametrize(
-    "walk,build,reference",
+    "walk,key,reference",
     [
-        (_construct._snake_walk, _construct._snake_build, _snake_reference),
-        (_construct._friendship_walk, _construct._friendship_build, _friendship_reference),
+        (_construct._snake_walk, _snake_key, _snake_reference),
+        (_construct._friendship_walk, _friendship_key, _friendship_reference),
     ],
     ids=["triangular_snake", "friendship"],
 )
-def test_block_builders_match_the_index_loop_builders(walk, build, reference):
+def test_block_builders_match_the_index_loop_builders(walk, key, reference):
     for n in range(1, 301):
-        for key, _ in walk(n):
-            assert build(n, *key) == reference(n, *key), (n, key)
+        for blocks, _ in walk(n):
+            assert _construct._blocks_pattern(blocks) == reference(n, *key(blocks)), (n, blocks)
 
 
 @pytest.mark.parametrize("family", BLOCK_WALKS)
 def test_block_walk_cut_is_the_real_tally(family):
     # every candidate of the walk, also at n = 2 (mod 4) where the
     # certificate answers before the walk starts
-    walk, build, sizes = BLOCK_WALKS[family]
+    walk, sizes = BLOCK_WALKS[family]
     for n in sizes:
         g = generate(FamilySpec(family, (n,)))
-        for key, cut in walk(n):
-            pattern = build(n, *key)
-            assert pattern.count(E) == key[0], (family, n, key)
-            assert cut == tally(g, pattern).e1, (family, n, key)
+        for blocks, cut in walk(n):
+            pattern = _construct._blocks_pattern(blocks)
+            assert len(pattern) == g.vertex_count, (family, n, blocks)
+            assert pattern.count(E) in feasible_even_counts(g.vertex_count), (family, n, blocks)
+            assert cut == tally(g, pattern).e1, (family, n, blocks)
 
 
 def _full_ring_walk(n, spokes):
-    # every key of the ring in walk order, its cut from _line_cut with the
-    # first vertex repeated at the end to close the ring
+    # every candidate of the ring in walk order, after the hub block; its cut
+    # from _line_cut with the first rim vertex repeated at the end to close the ring
     for s in feasible_even_counts(n + spokes):
         for p2 in range(min(s, n - s) + 1):
             head = E if s > p2 else O
-            blocks = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O), (1, head, head))
-            yield (s, p2), _construct._line_cut(blocks) + s * spokes
+            rim = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O))
+            cut = _construct._line_cut((*rim, (1, head, head))) + s * spokes
+            yield ((int(spokes), O, O), *rim), cut
 
 
 def _first_balanced(walk, edge_total):
-    return next((key for key, cut in walk if abs(edge_total - 2 * cut) <= 1), None)
+    return next((blocks for blocks, cut in walk if abs(edge_total - 2 * cut) <= 1), None)
 
 
 @pytest.mark.parametrize("spokes", [False, True], ids=["cycle", "wheel"])

@@ -246,11 +246,18 @@ def test_dot_path2():
 def test_dot_monochromatic_triangle():
     g = generate(FamilySpec("cycle", (3,)))
     f = PerrinLabeling({0: 0, 1: 2, 2: 3}, 3)
-    dot = export_dot(g, f)
-    assert dot.count("-- ") == 0 or True
-    edge_lines = [ln for ln in dot.splitlines() if "--" in ln]
-    assert len(edge_lines) == 3
-    assert all("color=red" in ln for ln in edge_lines)
+    # P_0, P_2 and P_3 are all even, so every vertex and edge is red
+    assert export_dot(g, f) == (
+        "graph {\n"
+        "  node [shape=circle];\n"
+        '  0 [label="P_0" color=red fontcolor=red];\n'
+        '  1 [label="P_2" color=red fontcolor=red];\n'
+        '  2 [label="P_3" color=red fontcolor=red];\n'
+        "  0 -- 1 [color=red];\n"
+        "  0 -- 2 [color=red];\n"
+        "  1 -- 2 [color=red];\n"
+        "}\n"
+    )
 
 
 def test_dot_snake_figure_edge_colors():
