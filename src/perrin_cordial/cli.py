@@ -3,26 +3,19 @@
 Subcommands: seq, gen, label, verify, decide, sweep, export-dot.
 Exit codes: 0 success / feasible / cordial, 1 infeasible / not cordial,
 2 input or capability error.
+
+Each subcommand imports the modules it runs inside its cmd_ function, on
+purpose: a command runs in a fresh process, where every module it loads
+(and, without cached bytecode, compiles) adds to its time.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import itertools
-import math
 import sys
 from collections.abc import Iterable
 from pathlib import Path
-
-from . import claims as claims_mod
-from .construct import Infeasible, construct
-from .graph_io import FormatError, dot_lines, read_graph, read_labeling, write_graph, write_labeling
-from .graphs import FamilyParameterError, FamilySpec, generate
-from .labeling import is_cordial, is_valid, tally, to_parity
-from .oracle import SearchConfig, decide_exhaustive, decide_parity
-from .perrin import Parity, perrin_parity, perrin_value
 
 _FAMILY_ALIASES = {
     "ts": "triangular_snake",
@@ -36,17 +29,25 @@ def _family_name(raw: str) -> str:
     return _FAMILY_ALIASES.get(raw, raw)
 
 
+@contextlib.contextmanager
+def _reported(path, verb: str):
+    """An OSError on path as an input error (exit 2), not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot {verb}: {exc}") from None
+
+
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text, or each of its pieces as it comes, to the file out or to stdout."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
-        stream.writelines([text] if isinstance(text, str) else text)
+    with _reported(out or "stdout", "write"):
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+            stream.writelines([text] if isinstance(text, str) else text)
 
 
 def _read(path: str) -> str:
-    try:
+    with _reported(path, "read"):
         return Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(path, f"cannot read: {exc}")
 
 
 # the last row's term has 1,222 digits; past index 35,200 a term exceeds
@@ -55,6 +56,7 @@ _SEQ_UPTO_MAX = 10_000
 
 
 def cmd_seq(args) -> int:
+    from .perrin import Parity, perrin_parity, perrin_value
     if not 0 <= args.upto <= _SEQ_UPTO_MAX:
         raise ValueError(f"--upto must be between 0 and {_SEQ_UPTO_MAX}, got {args.upto}")
     lines = []
@@ -68,12 +70,17 @@ def cmd_seq(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .graph_io import graph_chunks
+    from .graphs import FamilySpec, generate
     spec = FamilySpec(_family_name(args.family), tuple(args.params))
-    _emit(write_graph(generate(spec)), args.out)
+    _emit(graph_chunks(generate(spec)), args.out)
     return 0
 
 
 def cmd_label(args) -> int:
+    from .construct import Infeasible, construct
+    from .graph_io import dot_lines, write_labeling
+    from .graphs import FamilySpec, generate
     spec = FamilySpec(_family_name(args.family), tuple(args.params))
     got = construct(spec)
     if isinstance(got, Infeasible):
@@ -82,13 +89,15 @@ def cmd_label(args) -> int:
     t = got.tally
     print(f"feasible\te0={t.e0}\te1={t.e1}\tepsilon={t.epsilon}")
     if args.json:
-        Path(args.json).write_text(write_labeling(got.labeling))
+        _emit(write_labeling(got.labeling), args.json)
     if args.dot:
         _emit(dot_lines(generate(spec), got.labeling), args.dot)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .graph_io import read_graph, read_labeling
+    from .labeling import is_cordial, is_valid, tally, to_parity
     g = read_graph(_read(args.graph))
     f = read_labeling(_read(args.labeling))
     if not is_valid(g, f):
@@ -106,6 +115,8 @@ _MAX_N_MAX = 28
 
 
 def cmd_decide(args) -> int:
+    from .graph_io import FormatError, read_graph, write_labeling
+    from .oracle import SearchConfig, decide_exhaustive, decide_parity
     if not 0 <= args.max_n <= _MAX_N_MAX:
         raise FormatError("--max-n", f"must be between 0 and {_MAX_N_MAX}, got {args.max_n}")
     if args.out and not args.witness:
@@ -128,6 +139,7 @@ _SWEEP_POINTS_MAX = 100_000
 
 def _span(token: str) -> range:
     """The values of a LO:HI token, integers with LO <= HI."""
+    from .graph_io import FormatError
     lo, _, hi = token.partition(":")
     try:
         span = range(int(lo), int(hi) + 1)
@@ -139,14 +151,21 @@ def _span(token: str) -> range:
 
 
 def cmd_sweep(args) -> int:
+    import dataclasses
+    import itertools
+    import math
+
+    from .claims import claim_for, format_params, rows_to_csv, rows_to_markdown, sweep, sweep_all
+    from .graph_io import FormatError, write_labeling
+    from .graphs import FamilyParameterError
     if args.family == "all":
         if args.range is not None:
             raise FormatError("--range", "applies to a single family, not to 'all'")
-        rows = claims_mod.sweep_all()
+        rows = sweep_all()
     else:
         family = _family_name(args.family)
         try:
-            claim = claims_mod.claim_for(family)
+            claim = claim_for(family)
         except KeyError:
             raise FamilyParameterError(f"unknown family {family!r}") from None
         grid = None
@@ -157,24 +176,27 @@ def cmd_sweep(args) -> int:
             if math.prod(span.stop - span.start for span in spans) > _SWEEP_POINTS_MAX:
                 raise FormatError("--range", f"covers more than {_SWEEP_POINTS_MAX} grid points")
             grid = list(itertools.product(*spans))
-        rows = claims_mod.sweep(claim, grid)
+        rows = sweep(claim, grid)
     if args.witness_dir:
         wdir = Path(args.witness_dir)
-        wdir.mkdir(parents=True, exist_ok=True)
+        with _reported(wdir, "write"):
+            wdir.mkdir(parents=True, exist_ok=True)
         out_rows = []
         for r in rows:
             if r.witness is not None:
-                name = f"{r.family}_{claims_mod.format_params(r.params)}.json"
-                (wdir / name).write_text(write_labeling(r.witness))
-                r = dataclasses.replace(r, witness_file=str(wdir / name))
+                path = str(wdir / f"{r.family}_{format_params(r.params)}.json")
+                _emit(write_labeling(r.witness), path)
+                r = dataclasses.replace(r, witness_file=path)
             out_rows.append(r)
         rows = out_rows
-    render = claims_mod.rows_to_markdown if args.format == "md" else claims_mod.rows_to_csv
+    render = rows_to_markdown if args.format == "md" else rows_to_csv
     _emit(render(rows), args.out)
     return 0
 
 
 def cmd_export_dot(args) -> int:
+    from .graph_io import dot_lines, read_graph, read_labeling
+    from .labeling import is_valid
     g = read_graph(_read(args.graph))
     f = read_labeling(_read(args.labeling))
     if not is_valid(g, f):

@@ -27,6 +27,9 @@ ODD_COLOR = "black"
 # dot_lines' parity pattern do
 _VERTEX_COUNT_MAX = 10_000_000
 
+# edges per piece of graph_chunks (about 50 KB), so gen never holds a whole file's text
+_EDGE_CHUNK = 4096
+
 
 class FormatError(ValueError):
     """Malformed JSON or schema violation, with a field diagnostic."""
@@ -49,14 +52,20 @@ def _require_int(obj: object, field: str) -> int:
     return obj
 
 
-def write_graph(g: Graph) -> str:
-    doc: dict = {
-        "vertex_count": g.vertex_count,
-        "edges": g.edges,
-    }
+def graph_chunks(g: Graph):
+    """g's document (vertex_count, edges, family) as json.dumps writes it, _EDGE_CHUNK edges a piece."""
+    yield f'{{"vertex_count": {json.dumps(g.vertex_count)}, "edges": ['
+    for i in range(0, len(g.edges), _EDGE_CHUNK):
+        yield (", " if i else "") + json.dumps(g.edges[i : i + _EDGE_CHUNK])[1:-1]
+    yield "]"
     if g.family is not None:
-        doc["family"] = {"name": g.family.name, "params": g.family.params}
-    return json.dumps(doc) + "\n"
+        yield ', "family": ' + json.dumps({"name": g.family.name, "params": g.family.params})
+    yield "}\n"
+
+
+def write_graph(g: Graph) -> str:
+    """The JSON text of graph_chunks(g) as one string."""
+    return "".join(graph_chunks(g))
 
 
 def read_graph(text: str) -> Graph:

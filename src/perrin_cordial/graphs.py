@@ -45,8 +45,8 @@ _FAMILIES = {
     "jellyfish": ("m1 m2", 0, lambda m1, m2: m1 + m2 + 5),
 }
 
-# generate builds no graph with more edges: label complete_bipartite 2000 2001
-# (4,002,000 edges) peaks at 322 MB, gen at 397 MB
+# generate builds no graph with more edges: label and gen of complete_bipartite
+# 2000 2001 (4,002,000 edges) each peak at 322 MB
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)

@@ -18,6 +18,7 @@ from perrin_cordial import (
     feasible_even_counts,
     generate,
     write_graph,
+    write_labeling,
 )
 from perrin_cordial.cli import main
 
@@ -361,6 +362,33 @@ def test_family_params_that_are_not_a_list_are_an_input_error(tmp_path, params):
         assert r.returncode == 2, args
         assert r.stdout == ""
         assert r.stderr.startswith("error: family.params: expected a list of integers"), r.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["seq", "--upto", "3", "--out", "{bad}"],
+        ["gen", "path", "3", "--out", "{bad}"],
+        ["label", "path", "5", "--json", "{bad}"],
+        ["label", "path", "5", "--dot", "{bad}"],
+        ["decide", "--graph", "{graph}", "--witness", "--out", "{bad}"],
+        ["export-dot", "--graph", "{graph}", "--labeling", "{labeling}", "--out", "{bad}"],
+        ["sweep", "cycle", "--range", "3:5", "--out", "{bad}"],
+        ["sweep", "cycle", "--range", "3:5", "--witness-dir", "{bad}"],
+    ],
+    ids=lambda args: f"{args[0]} {args[-2]}",
+)
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, args):
+    # exit 1 means infeasible or not cordial, so a failed write must not end there
+    spec = FamilySpec("path", (5,))
+    graph, labeling = tmp_path / "g.json", tmp_path / "f.json"
+    graph.write_text(write_graph(generate(spec)))
+    labeling.write_text(write_labeling(construct(spec).labeling))
+    (tmp_path / "file").write_text("")
+    bad = tmp_path / "file" / "out"
+    code = main([a.format(bad=bad, graph=graph, labeling=labeling) for a in args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write: ")
 
 
 def test_family_alias():

@@ -23,6 +23,7 @@ from perrin_cordial import (
     write_labeling,
 )
 
+from perrin_cordial.graph_io import graph_chunks
 from strategies import graph_json
 
 ALL_SPECS = [
@@ -107,6 +108,27 @@ def test_edge_out_of_range_diagnostic():
 def test_read_graph_equals_graph_of_the_same_content(case):
     text, (n, edges, family) = case
     assert read_graph(text) == Graph(n, edges, family=family)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate(FamilySpec("complete_bipartite", (300, 301))),
+        generate(FamilySpec("star", (4096,))),
+        generate(FamilySpec("star", (4097,))),
+        generate(FamilySpec("path", (1,))),
+        Graph(4, [(2, 3), (0, 1)]),
+    ],
+    ids=["many-chunks", "one-full-chunk", "one-past-a-chunk", "no-edges", "family-less"],
+)
+def test_graph_chunks_are_the_bytes_of_json_dumps(g):
+    doc = {"vertex_count": g.vertex_count, "edges": g.edges}
+    if g.family is not None:
+        doc["family"] = {"name": g.family.name, "params": g.family.params}
+    chunks = list(graph_chunks(g))
+    assert "".join(chunks) == write_graph(g) == json.dumps(doc) + "\n"
+    # gen writes these one by one, so none holds more than a few thousand edges
+    assert max(map(len, chunks)) < 100_000
 
 
 def test_write_graph_is_one_compact_line():
