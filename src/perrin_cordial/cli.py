@@ -71,16 +71,17 @@ def cmd_seq(args) -> int:
 
 def cmd_gen(args) -> int:
     from .graph_io import graph_chunks
-    from .graphs import FamilySpec, generate
+    from .graphs import FamilySpec, _edge_stream
     spec = FamilySpec(_family_name(args.family), tuple(args.params))
-    _emit(graph_chunks(generate(spec)), args.out)
+    n, _, edges = _edge_stream(spec)
+    _emit(graph_chunks(n, edges, spec), args.out)
     return 0
 
 
 def cmd_label(args) -> int:
     from .construct import Infeasible, construct
     from .graph_io import dot_lines, write_labeling
-    from .graphs import FamilySpec, generate
+    from .graphs import FamilySpec, _edge_stream
     spec = FamilySpec(_family_name(args.family), tuple(args.params))
     got = construct(spec)
     if isinstance(got, Infeasible):
@@ -91,7 +92,8 @@ def cmd_label(args) -> int:
     if args.json:
         _emit(write_labeling(got.labeling), args.json)
     if args.dot:
-        _emit(dot_lines(generate(spec), got.labeling), args.dot)
+        n, _, edges = _edge_stream(spec)
+        _emit(dot_lines(n, edges, got.labeling), args.dot)
     return 0
 
 
@@ -202,7 +204,7 @@ def cmd_export_dot(args) -> int:
     if not is_valid(g, f):
         print("invalid: labeling is not valid for this graph", file=sys.stderr)
         return 2
-    _emit(dot_lines(g, f), args.out)
+    _emit(dot_lines(g.vertex_count, g.edges, f), args.out)
     return 0
 
 

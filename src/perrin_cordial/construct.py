@@ -27,6 +27,9 @@ tally gate means the quotient is wrong and raises SchemeExhaustedError.
 
 Scans are deterministic, so constructions reproduce byte-for-byte; both
 even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
+No constructor stores its graph: the certificate and the tally gate each
+read a fresh stream of the family's edges (graphs._edge_stream), the one
+generate stores.
 """
 
 from __future__ import annotations
@@ -34,17 +37,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .graphs import FamilySpec, Graph, generate
+from .graphs import FamilySpec, _edge_stream
 from .labeling import (
     EdgeTally,
     ParityPattern,
     PerrinLabeling,
+    _realize,
+    _tally,
     feasible_even_counts,
     is_cordial,
-    realize,
-    tally,
 )
-from .oracle import decide_parity
+from .oracle import _decide_parity
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
@@ -70,17 +73,17 @@ def _name(spec: FamilySpec) -> str:
     return f"{spec.name}({','.join(map(str, spec.params))})"
 
 
-def _gate(g: Graph, pattern: ParityPattern) -> Constructed:
+def _gate(spec: FamilySpec, pattern: ParityPattern) -> Constructed:
     """The labeling of a scan's hit, once its real edge tally is cordial.
 
     Hits come from exact counts, so a failing tally means the count (a block
     cut or a declared class quotient) is wrong.
     """
-    t = tally(g, pattern)
+    n, m, edges = _edge_stream(spec)
+    t = _tally(n, m, edges, pattern)
     if not is_cordial(t):
-        where = _name(g.family) if g.family else f"graph on {g.vertex_count} vertices"
-        raise SchemeExhaustedError(f"{where}: the scheme's hit fails the tally gate")
-    return Constructed(labeling=realize(g, pattern), tally=t)
+        raise SchemeExhaustedError(f"{_name(spec)}: the scheme's hit fails the tally gate")
+    return Constructed(labeling=_realize(n, pattern), tally=t)
 
 
 def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
@@ -90,13 +93,13 @@ def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
     edges; only the hit's pattern is built and tallied.
     """
     (n,) = spec.params
-    g = generate(spec)
-    proof = decide_parity(g)
+    count, m, edges = _edge_stream(spec)
+    proof = _decide_parity(count, m, edges)
     if proof is not None:
         return Infeasible(proof.reason)
     for blocks, cut in walk(n):
-        if -1 <= g.edge_count - 2 * cut <= 1:
-            return _gate(g, _blocks_pattern(blocks))
+        if -1 <= m - 2 * cut <= 1:
+            return _gate(spec, _blocks_pattern(blocks))
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
 
 
@@ -228,7 +231,7 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
     sizes lists `singles` single vertices, then one or two larger classes; class i
     owns the next sizes[i] vertex ids, and a hit makes the first a[i] of them even.
     """
-    # n and |E| come from the quotient; the graph is built only to gate a hit
+    # n and |E| come from the quotient; the edges are read only to gate a hit
     n, total = sum(sizes), sum(sizes[i] * sizes[j] for i, j in joins)
     total += sum(sizes[i] * (sizes[i] - 1) // 2 for i in cliques)
     counts, multi = feasible_even_counts(n), sizes[singles:]
@@ -246,7 +249,7 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
                 if -1 <= e <= 1:
                     a = head + _step(first, j)
                     blocks = [b for t, k in zip(sizes, a) for b in ((k, E, E), (t - k, O, O))]
-                    return _gate(generate(spec), _blocks_pattern(blocks))
+                    return _gate(spec, _blocks_pattern(blocks))
                 if below < e < 0:
                     below = e
                 elif 0 < e < above:

@@ -12,9 +12,10 @@ roles map that older files carry, is ignored.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from .graphs import FamilySpec, Graph, _trusted
-from .labeling import PerrinLabeling, is_valid, to_parity
+from .labeling import PerrinLabeling, _is_valid, to_parity
 from .perrin import Parity
 
 # figure convention: red for even (vertices and 0-labeled edges), black
@@ -52,20 +53,22 @@ def _require_int(obj: object, field: str) -> int:
     return obj
 
 
-def graph_chunks(g: Graph):
-    """g's document (vertex_count, edges, family) as json.dumps writes it, _EDGE_CHUNK edges a piece."""
-    yield f'{{"vertex_count": {json.dumps(g.vertex_count)}, "edges": ['
-    for i in range(0, len(g.edges), _EDGE_CHUNK):
-        yield (", " if i else "") + json.dumps(g.edges[i : i + _EDGE_CHUNK])[1:-1]
+def graph_chunks(n: int, edges, family: FamilySpec | None = None):
+    """The document (vertex_count, edges, family) as json.dumps writes it, _EDGE_CHUNK edges a piece."""
+    yield f'{{"vertex_count": {json.dumps(n)}, "edges": ['
+    edges, sep = iter(edges), ""
+    while chunk := list(islice(edges, _EDGE_CHUNK)):
+        yield sep + json.dumps(chunk)[1:-1]
+        sep = ", "
     yield "]"
-    if g.family is not None:
-        yield ', "family": ' + json.dumps({"name": g.family.name, "params": g.family.params})
+    if family is not None:
+        yield ', "family": ' + json.dumps({"name": family.name, "params": family.params})
     yield "}\n"
 
 
 def write_graph(g: Graph) -> str:
-    """The JSON text of graph_chunks(g) as one string."""
-    return "".join(graph_chunks(g))
+    """The JSON text of graph_chunks for g as one string."""
+    return "".join(graph_chunks(g.vertex_count, g.edges, g.family))
 
 
 def read_graph(text: str) -> Graph:
@@ -144,26 +147,26 @@ def read_labeling(text: str) -> PerrinLabeling:
     return PerrinLabeling(assignment=assignment, domain_max=domain_max)
 
 
-def dot_lines(g: Graph, f: PerrinLabeling):
+def dot_lines(n: int, edges, f: PerrinLabeling):
     """Figure-style DOT text, line by line as it is made: red for even labels, black for odd.
 
-    Vertices carry their sequence-index name (P_i); edges are colored by
-    their induced label (0 red, 1 black).  Output is byte-stable for
-    identical inputs.
+    Vertices 0..n-1 carry their sequence-index name (P_i); edges, read once
+    from any iterable, are colored by their induced label (0 red, 1 black).
+    Output is byte-stable for identical inputs.
     """
-    if not is_valid(g, f):
+    if not _is_valid(n, f):
         raise ValueError("labeling is not valid for this graph")
     pattern = to_parity(f)
     yield "graph {\n  node [shape=circle];\n"
-    for v in range(g.vertex_count):
+    for v in range(n):
         color = EVEN_COLOR if pattern[v] is Parity.EVEN else ODD_COLOR
         yield f'  {v} [label="P_{f.assignment[v]}" color={color} fontcolor={color}];\n'
-    for u, v in g.edges:
+    for u, v in edges:
         color = EVEN_COLOR if pattern[u] is pattern[v] else ODD_COLOR
         yield f"  {u} -- {v} [color={color}];\n"
     yield "}\n"
 
 
 def export_dot(g: Graph, f: PerrinLabeling) -> str:
-    """The DOT text of dot_lines(g, f) as one string."""
-    return "".join(dot_lines(g, f))
+    """The DOT text of dot_lines for g and f as one string."""
+    return "".join(dot_lines(g.vertex_count, g.edges, f))

@@ -19,17 +19,19 @@ byte-for-byte:
                           m2 pendants m1+4..m1+m2+3 on vertex 3
 
 A graph is its vertex count, its edges and an optional family: a labeling
-is defined from V(G) and E(G) alone.  generate and
-read_graph store graphs through one trusted path that checks nothing:
-generate's edges are normalized and sorted by construction (a test rebuilds
-them through Graph(...) over a grid), and read_graph checks each edge of a
-file once, itself.  Only a direct Graph(...) re-checks.
+is defined from V(G) and E(G) alone.  generate and construct share one
+edge stream per family (_edge_stream), which construct, gen and label --dot
+read as it comes and generate stores.  generate and read_graph store graphs
+through one trusted path that checks nothing: the stream's edges are sorted
+and normalized by construction (a test rebuilds them through Graph(...)
+over a grid), and read_graph checks each edge of a file once, itself.  Only
+a direct Graph(...) re-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 
 # each family's parameter names, the lower bound they all share and its edge count
 _FAMILIES = {
@@ -45,8 +47,9 @@ _FAMILIES = {
     "jellyfish": ("m1 m2", 0, lambda m1, m2: m1 + m2 + 5),
 }
 
-# generate builds no graph with more edges: label and gen of complete_bipartite
-# 2000 2001 (4,002,000 edges) each peak at 322 MB
+# _edge_stream makes no graph with more edges: streamed, label and gen of K_{2000,2001}
+# (4,002,000 edges) peak at 17 MB, but a stored edge costs 64 bytes (322 MB there), and
+# label path 1000001 still holds a labeling of every vertex (154 MB)
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -129,12 +132,12 @@ def _trusted(n: int, edges: list[tuple[int, int]], spec: FamilySpec | None) -> G
     return g
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the family graph with canonical numbering.
+def _edge_stream(spec: FamilySpec):
+    """(|V|, |E|, an iterator over the edges) of the family graph with canonical numbering.
 
-    Each branch must list its edges as (u, v) with u < v, distinct and in
-    sorted order: _trusted stores them as they are.  A graph with more than
-    _EDGES_MAX edges raises FamilyParameterError before anything is built.
+    Each branch lists its edges as (u, v) with u < v, distinct and in sorted
+    order: generate stores them as they come.  A graph with more than
+    _EDGES_MAX edges raises FamilyParameterError before anything is made.
     """
     name, params = spec.name, spec.params
     size = _FAMILIES[name][2](*params)
@@ -142,47 +145,44 @@ def generate(spec: FamilySpec) -> Graph:
         raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")
     if name == "path":
         (n,) = params
-        edges, count = [(i, i + 1) for i in range(n - 1)], n
+        edges, count = zip(range(n - 1), range(1, n)), n
     elif name == "cycle":
         (n,) = params
-        edges, count = [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)], n
+        edges, count = chain(((0, 1), (0, n - 1)), zip(range(1, n - 1), range(2, n))), n
     elif name == "complete":
         (n,) = params
-        edges, count = list(combinations(range(n), 2)), n
+        edges, count = combinations(range(n), 2), n
     elif name in ("complete_bipartite", "star"):
         if name == "star":
             m, n = 1, params[0]
         else:
             m, n = params
-        edges, count = list(product(range(m), range(m, m + n))), m + n
+        edges, count = product(range(m), range(m, m + n)), m + n
     elif name == "wheel":
         (n,) = params
-        edges = [(0, i) for i in range(1, n + 1)]
-        edges += [(1, 2), (1, n)]
-        edges += [(i, i + 1) for i in range(2, n)]
+        edges = chain(zip(repeat(0), range(1, n + 1)), ((1, 2), (1, n)), zip(range(2, n), range(3, n + 1)))
         count = n + 1
     elif name == "bistar":
         m, n = params
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(m)]
-        edges += [(1, 2 + m + i) for i in range(n)]
+        edges = chain(((0, 1),), zip(repeat(0), range(2, m + 2)), zip(repeat(1), range(m + 2, m + n + 2)))
         count = m + n + 2
     elif name == "triangular_snake":
         # path vertex i < n is followed by its path edge, then its two tips
         (n,) = params
-        edges = [(0, 1), (0, n + 1)]
-        edges += [e for i in range(1, n) for e in ((i, i + 1), (i, n + i), (i, n + i + 1))]
-        edges.append((n, 2 * n))
-        count = 2 * n + 1
+        inner = chain.from_iterable(((i, i + 1), (i, n + i), (i, n + i + 1)) for i in range(1, n))
+        edges, count = chain(((0, 1), (0, n + 1)), inner, ((n, 2 * n),)), 2 * n + 1
     elif name == "friendship":
         (n,) = params
-        edges = [(0, i) for i in range(1, 2 * n + 1)]
-        edges += [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
+        edges = chain(zip(repeat(0), range(1, 2 * n + 1)), zip(range(1, 2 * n, 2), range(2, 2 * n + 1, 2)))
         count = 2 * n + 1
     else:  # jellyfish
         m1, m2 = params
-        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-        edges += [(2, 4 + i) for i in range(m1)]
-        edges += [(3, 4 + m1 + i) for i in range(m2)]
-        count = m1 + m2 + 4
-    return _trusted(count, edges, spec)
+        pendants = chain(zip(repeat(2), range(4, m1 + 4)), zip(repeat(3), range(m1 + 4, m1 + m2 + 4)))
+        edges, count = chain(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), pendants), m1 + m2 + 4
+    return count, size, edges
+
+
+def generate(spec: FamilySpec) -> Graph:
+    """Build the family graph with canonical numbering: _edge_stream's edges, stored."""
+    count, _, edges = _edge_stream(spec)
+    return _trusted(count, list(edges), spec)

@@ -62,15 +62,22 @@ class PerrinLabeling:
 
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:
     """Count induced labels over all edges of g under the parity pattern."""
-    if len(pattern) != g.vertex_count:
-        raise PatternLengthError(
-            f"pattern has {len(pattern)} entries for {g.vertex_count} vertices"
-        )
+    return _tally(g.vertex_count, g.edge_count, g.edges, pattern)
+
+
+def _tally(n: int, m: int, edges, pattern: ParityPattern) -> EdgeTally:
+    """tally over the m edges of any iterable, on n vertices: nothing needs them stored."""
+    _check_length(n, pattern)
     e1 = 0
-    for u, v in g.edges:
+    for u, v in edges:
         if pattern[u] is not pattern[v]:
             e1 += 1
-    return EdgeTally(e0=g.edge_count - e1, e1=e1)
+    return EdgeTally(e0=m - e1, e1=e1)
+
+
+def _check_length(n: int, pattern: ParityPattern) -> None:
+    if len(pattern) != n:
+        raise PatternLengthError(f"pattern has {len(pattern)} entries for {n} vertices")
 
 
 def is_cordial(t: EdgeTally) -> bool:
@@ -79,9 +86,13 @@ def is_cordial(t: EdgeTally) -> bool:
 
 def is_valid(g: Graph, f: PerrinLabeling) -> bool:
     """True iff f labels every vertex of g with distinct indices in 0..|V|."""
-    if f.domain_max != g.vertex_count:
+    return _is_valid(g.vertex_count, f)
+
+
+def _is_valid(n: int, f: PerrinLabeling) -> bool:
+    if f.domain_max != n:
         return False
-    if set(f.assignment.keys()) != set(range(g.vertex_count)):
+    if set(f.assignment.keys()) != set(range(n)):
         return False
     indices = list(f.assignment.values())
     if len(set(indices)) != len(indices):
@@ -105,11 +116,11 @@ def realize(g: Graph, pattern: ParityPattern) -> PerrinLabeling:
     odd indices.  Any injective assignment of correct parities is
     tally-equivalent, so this choice only fixes reproducibility.
     """
-    if len(pattern) != g.vertex_count:
-        raise PatternLengthError(
-            f"pattern has {len(pattern)} entries for {g.vertex_count} vertices"
-        )
-    n = g.vertex_count
+    return _realize(g.vertex_count, pattern)
+
+
+def _realize(n: int, pattern: ParityPattern) -> PerrinLabeling:
+    _check_length(n, pattern)
     evens, odds = even_indices(n), odd_indices(n)
     need_even = pattern.count(Parity.EVEN)
     if need_even > len(evens):

@@ -192,11 +192,15 @@ def _rank(n: int, subset: tuple[int, ...]) -> int:
 
 def decide_parity(g: Graph) -> Verdict | None:
     """Infeasible when every degree is even and |E| = 2 (mod 4), else None."""
-    m = g.edge_count
+    return _decide_parity(g.vertex_count, g.edge_count, g.edges)
+
+
+def _decide_parity(n: int, m: int, edges) -> Verdict | None:
+    """decide_parity of the graph on n vertices whose m edges an iterable yields, read once."""
     if m % 4 != 2:
         return None
-    deg = [0] * g.vertex_count
-    for u, v in g.edges:
+    deg = [0] * n
+    for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     if any(d % 2 for d in deg):

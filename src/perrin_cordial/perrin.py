@@ -52,20 +52,11 @@ def perrin_parity(i: int) -> Parity:
 
 
 def even_count(n: int) -> int:
-    """Closed-form count of even terms among indices 0..n.
-
-    Piecewise on n = 7p + r: r in {0,1} -> 3p+1; r = 2 -> 3p+2;
-    r in {3,4} -> 3p+3; r in {5,6} -> 3p+4.
-    """
+    """Closed-form count of even terms among indices 0..n, for n = 7p + r:
+    index 0, three in each full period, and the even offsets up to r."""
     _check_index(n, "count bound")
     p, r = divmod(n, 7)
-    if r <= 1:
-        return 3 * p + 1
-    if r == 2:
-        return 3 * p + 2
-    if r <= 4:
-        return 3 * p + 3
-    return 3 * p + 4
+    return 3 * p + 1 + sum(o <= r for o in _EVEN_OFFSETS)
 
 
 def even_indices(n: int) -> list[int]:

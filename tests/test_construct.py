@@ -135,6 +135,24 @@ def test_infeasible_class_scan_keeps_only_its_nearest_misses():
     assert peak < 100_000
 
 
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_construction_never_stores_its_edges():
+    # K_{300,301}: the gate tallies its 90,300 edges as they stream by
+    spec = FamilySpec("complete_bipartite", (300, 301))
+    got, peak = _peak(lambda: construct(spec))
+    g, stored = _peak(lambda: generate(spec))
+    assert isinstance(got, Constructed) and got.tally == tally(g, to_parity(got.labeling))
+    assert stored > 5_000_000 and peak < 1_000_000, (stored, peak)
+
+
 def test_complete_verdict_over_hundred_matches_independent_recount():
     # independent recount: with a evens and b odds the imbalance is
     # ((b - a)^2 - n) / 2, so feasibility means |(b - a)^2 - n| <= 2
@@ -460,14 +478,37 @@ def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
         assert cut == tally(g, tuple(pattern)).e1, (spec, a)
 
 
+def _streaming(g):
+    """A stand-in for construct's _edge_stream that yields g's edges whatever the spec."""
+    return lambda spec: (g.vertex_count, g.edge_count, iter(g.edges))
+
+
+def test_construct_never_calls_generate(monkeypatch):
+    # every 5th point of the c04 grid and a few stars, so both scans and every
+    # family; the results must not change when generate cannot be called
+    from test_acceptance import c04_grid
+
+    specs = c04_grid()[::5] + [FamilySpec("star", (n,)) for n in range(1, 40, 3)]
+    want = [construct(spec) for spec in specs]
+
+    def refuse(spec):
+        raise AssertionError(f"generate({spec}) called")
+
+    graphs = importlib.import_module("perrin_cordial.graphs")
+    monkeypatch.setattr(graphs, "generate", refuse)
+    monkeypatch.setattr(_construct, "generate", refuse, raising=False)
+    assert {spec.name for spec in specs} == set(_construct.CONSTRUCTORS)
+    assert [construct(spec) for spec in specs] == want
+
+
 @pytest.mark.parametrize("family_less", [False, True])
 def test_class_scan_rejects_a_quotient_the_edges_contradict(family_less, monkeypatch):
     # C_4 declared as K_{2,2} on classes {0,1}, {2,3}: the formula hit
     # (1, 1) tallies epsilon = -4, so the scan raises instead of skipping it,
-    # also when the graph carries no family to name in the message
+    # from the family's own stream or from the edges of a family-less graph
     if family_less:
-        c4 = generate(FamilySpec("cycle", (4,)))
-        monkeypatch.setattr(_construct, "generate", lambda spec: Graph(4, c4.edges))
+        c4 = Graph(4, generate(FamilySpec("cycle", (4,))).edges)
+        monkeypatch.setattr(_construct, "_edge_stream", _streaming(c4))
     with pytest.raises(SchemeExhaustedError):
         _construct._class_scan(FamilySpec("cycle", (4,)), (2, 2), joins=((0, 1),))
 
@@ -488,7 +529,7 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
         cases.append((sizes, cliques, joins, singles))
     for sizes, cliques, joins, singles in cases:
         g = _blow_up(sizes, cliques, joins)
-        monkeypatch.setattr(_construct, "generate", lambda spec: g)
+        monkeypatch.setattr(_construct, "_edge_stream", _streaming(g))
         got = _construct._class_scan(
             FamilySpec("path", (1,)),
             sizes,
@@ -609,13 +650,13 @@ def test_ring_walk_hit_is_the_full_walks_first_balanced_key(spokes):
 
 
 def test_block_constructions_tally_once(monkeypatch):
-    real, calls = _construct.tally, []
+    real, calls = _construct._tally, []
 
-    def counting(g, pattern):
-        calls.append(g.vertex_count)
-        return real(g, pattern)
+    def counting(n, m, edges, pattern):
+        calls.append(n)
+        return real(n, m, edges, pattern)
 
-    monkeypatch.setattr(_construct, "tally", counting)
+    monkeypatch.setattr(_construct, "_tally", counting)
     cases = [("path", n) for n in range(1, 201)]
     cases += [("cycle", n) for n in range(3, 201) if n % 4 != 2]
     cases += [("wheel", n) for n in range(3, 201)]

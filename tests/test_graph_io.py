@@ -125,8 +125,10 @@ def test_graph_chunks_are_the_bytes_of_json_dumps(g):
     doc = {"vertex_count": g.vertex_count, "edges": g.edges}
     if g.family is not None:
         doc["family"] = {"name": g.family.name, "params": g.family.params}
-    chunks = list(graph_chunks(g))
+    chunks = list(graph_chunks(g.vertex_count, g.edges, g.family))
     assert "".join(chunks) == write_graph(g) == json.dumps(doc) + "\n"
+    # gen passes the family's edge stream: an iterator gives the same pieces
+    assert list(graph_chunks(g.vertex_count, iter(g.edges), g.family)) == chunks
     # gen writes these one by one, so none holds more than a few thousand edges
     assert max(map(len, chunks)) < 100_000
 

@@ -14,7 +14,7 @@ from perrin_cordial import (
     generate,
     read_graph,
 )
-from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES
+from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES, _edge_stream
 
 SIZE_CASES = [
     # (family, params, vertices, edges)
@@ -225,6 +225,17 @@ def test_generated_edges_survive_the_validating_constructor(family, params):
     assert g == Graph(g.vertex_count, g.edges, family=spec)
     assert list(g.edges) == sorted(set(g.edges))
     assert all(0 <= u < v < g.vertex_count for u, v in g.edges)
+
+
+@pytest.mark.parametrize("family,params", TRUSTED_GRID)
+def test_generate_stores_the_edge_stream(family, params):
+    # construct, gen and label --dot read the stream; generate stores it
+    spec = FamilySpec(family, params)
+    n, m, edges = _edge_stream(spec)
+    streamed = list(edges)
+    g = generate(spec)
+    assert (n, m) == (g.vertex_count, g.edge_count) == (g.vertex_count, len(streamed))
+    assert tuple(streamed) == g.edges == Graph(n, streamed).edges
 
 
 def test_dense_families_list_edges_as_the_nested_loops_do():

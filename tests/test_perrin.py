@@ -78,6 +78,12 @@ def test_even_count_matches_scan(n):
     assert even_count(n) == even_count_scan(n)
 
 
+def test_even_count_closed_form_matches_scan_below_100000():
+    # a stride of 11, coprime to the period 7, meets every residue at every scale
+    for n in [*range(0, 100_000, 11), *range(99_986, 100_000)]:
+        assert even_count(n) == even_count_scan(n), n
+
+
 @given(st.integers(1, 500))
 @settings(max_examples=80)
 def test_parity_period_seven_from_one(i):
