@@ -15,8 +15,8 @@ _EXPORTS = {
     "claims": "Claim ClaimCheckRow builtin_claims claim_for default_grid rows_to_csv rows_to_markdown"
     " sweep sweep_all",
     "construct": "CONSTRUCTORS Constructed Infeasible SchemeExhaustedError construct",
-    "graph_io": "FormatError export_dot read_graph read_labeling write_graph write_labeling",
-    "graphs": "FAMILY_NAMES FamilyParameterError FamilySpec Graph generate",
+    "graph_io": "export_dot read_graph read_labeling write_graph write_labeling",
+    "graphs": "FAMILY_NAMES FamilyParameterError FamilySpec FormatError Graph generate",
     "labeling": "EdgeTally InvalidLabelingError LabelSupplyError ParityPattern PatternLengthError PerrinLabeling"
     " feasible_even_counts is_cordial is_valid realize tally to_parity",
     "oracle": "GraphTooLargeError SearchConfig Verdict decide_exhaustive decide_parity",

@@ -3,10 +3,11 @@
 Parsing is strict but purely structural: a labeling file with a duplicate
 index parses fine and fails later at verification, so format errors and
 semantic failures surface through different exit paths.  read_graph checks
-each edge of a graph file once and stores the graph through generate's
-trusted path, so Graph(...) does not check it again.  A graph file holds
-vertex_count, edges and an optional family; any other key, such as the
-roles map that older files carry, is ignored.
+a graph file's vertex_count and edges with the checker Graph(...) runs, so
+both raise the same FormatError, and stores the checked pairs without a
+second check.  A graph file holds vertex_count, edges and an optional
+family; any other key, such as the roles map that older files carry, is
+ignored.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import json
 from itertools import islice
 
-from .graphs import FamilySpec, Graph, _trusted
-from .labeling import PerrinLabeling, _is_valid, to_parity
+from .graphs import FamilySpec, FormatError, Graph, _checked_edges, _trusted
+from .labeling import PerrinLabeling, is_valid, to_parity
 from .perrin import Parity
 
 # figure convention: red for even (vertices and 0-labeled edges), black
@@ -23,21 +24,8 @@ from .perrin import Parity
 EVEN_COLOR = "red"
 ODD_COLOR = "black"
 
-# largest vertex_count read_graph accepts; read_graph allocates nothing per
-# vertex, but decide_parity's degree list, is_valid's vertex set and
-# dot_lines' parity pattern do
-_VERTEX_COUNT_MAX = 10_000_000
-
 # edges per piece of graph_chunks (about 50 KB), so gen never holds a whole file's text
 _EDGE_CHUNK = 4096
-
-
-class FormatError(ValueError):
-    """Malformed JSON or schema violation, with a field diagnostic."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
 
 
 def _load_json(text: str) -> object:
@@ -77,30 +65,8 @@ def read_graph(text: str) -> Graph:
         raise FormatError("document", "expected a JSON object")
     if "vertex_count" not in doc:
         raise FormatError("vertex_count", "missing")
-    n = _require_int(doc["vertex_count"], "vertex_count")
-    if not 0 <= n <= _VERTEX_COUNT_MAX:
-        raise FormatError("vertex_count", f"must be between 0 and {_VERTEX_COUNT_MAX}, got {n}")
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise FormatError("edges", "expected a list of [u, v] pairs")
-    most = n * (n - 1) // 2
-    if len(raw_edges) > most:
-        raise FormatError("edges", f"{len(raw_edges)} listed, but a simple graph on {n} vertices has at most {most}")
-    first: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(raw_edges):
-        if type(e) is not list or len(e) != 2:
-            raise FormatError(f"edges[{i}]", f"expected a [u, v] pair, got {e!r}")
-        u, v = e
-        if type(u) is not int or type(v) is not int:
-            k = 0 if type(u) is not int else 1
-            raise FormatError(f"edges[{i}][{k}]", f"expected an integer, got {e[k]!r}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"edges[{i}]", f"edge [{u}, {v}] out of range 0..{n - 1}")
-        if u == v:
-            raise FormatError(f"edges[{i}]", f"self-loop at vertex {u}")
-        pair = (u, v) if u < v else (v, u)
-        if first.setdefault(pair, i) != i:
-            raise FormatError(f"edges[{i}]", f"duplicate of edges[{first[pair]}], edge {pair}")
+    n = doc["vertex_count"]
+    edges = _checked_edges(n, doc.get("edges", []))
     family = None
     if "family" in doc and doc["family"] is not None:
         fam = doc["family"]
@@ -110,7 +76,7 @@ def read_graph(text: str) -> Graph:
             raise FormatError("family.params", f"expected a list of integers, got {fam['params']!r}")
         params = tuple(_require_int(p, "family.params") for p in fam["params"])
         family = FamilySpec(fam["name"], params)
-    return _trusted(n, sorted(first), family)
+    return _trusted(n, edges, family)
 
 
 def write_labeling(f: PerrinLabeling) -> str:
@@ -152,10 +118,9 @@ def dot_lines(n: int, edges, f: PerrinLabeling):
 
     Vertices 0..n-1 carry their sequence-index name (P_i); edges, read once
     from any iterable, are colored by their induced label (0 red, 1 black).
-    Output is byte-stable for identical inputs.
+    Output is byte-stable for identical inputs.  f is trusted to be valid:
+    export_dot and export-dot check it, and label --dot passes a constructed one.
     """
-    if not _is_valid(n, f):
-        raise ValueError("labeling is not valid for this graph")
     pattern = to_parity(f)
     yield "graph {\n  node [shape=circle];\n"
     for v in range(n):
@@ -168,5 +133,7 @@ def dot_lines(n: int, edges, f: PerrinLabeling):
 
 
 def export_dot(g: Graph, f: PerrinLabeling) -> str:
-    """The DOT text of dot_lines for g and f as one string."""
+    """The DOT text of dot_lines for g and f as one string; ValueError if f is not valid for g."""
+    if not is_valid(g, f):
+        raise ValueError("labeling is not valid for this graph")
     return "".join(dot_lines(g.vertex_count, g.edges, f))

@@ -21,11 +21,10 @@ byte-for-byte:
 A graph is its vertex count, its edges and an optional family: a labeling
 is defined from V(G) and E(G) alone.  generate and construct share one
 edge stream per family (_edge_stream), which construct, gen and label --dot
-read as it comes and generate stores.  generate and read_graph store graphs
-through one trusted path that checks nothing: the stream's edges are sorted
-and normalized by construction (a test rebuilds them through Graph(...)
-over a grid), and read_graph checks each edge of a file once, itself.  Only
-a direct Graph(...) re-checks.
+read as it comes and generate stores unchecked (_trusted): its edges are
+sorted and normalized by construction, and a test rebuilds them through
+Graph(...) over a grid.  Every other graph passes _checked_edges, which
+Graph(...) and read_graph share, so each fault raises the same FormatError.
 """
 
 from __future__ import annotations
@@ -53,6 +52,19 @@ _FAMILIES = {
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)
+
+# largest vertex_count a graph may have; the checker allocates nothing per
+# vertex, but decide_parity's degree list, is_valid's vertex set and
+# dot_lines' parity pattern do
+_VERTEX_COUNT_MAX = 10_000_000
+
+
+class FormatError(ValueError):
+    """Malformed JSON, graph fields or options, with a field diagnostic."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
 
 
 class FamilyParameterError(ValueError):
@@ -89,10 +101,10 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..vertex_count-1.
 
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
-    sorted order, so iteration is deterministic.  The constructor
-    validates: no loops, duplicates or out-of-range endpoints.  Graphs
-    from generate and read_graph skip it (see the module docstring).
-    family is keyword-only.
+    sorted order, so iteration is deterministic.  The constructor checks
+    its input with _checked_edges (see the module docstring) and raises
+    FormatError("family", ...) unless family is None or a FamilySpec.
+    Graphs from generate skip it.  family is keyword-only.
     """
 
     vertex_count: int
@@ -101,30 +113,48 @@ class Graph:
     family: FamilySpec | None = None
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be >= 0")
-        seen = set()
-        norm = []
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{self.vertex_count - 1}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "edges", tuple(_checked_edges(self.vertex_count, self.edges)))
+        if self.family is not None and not isinstance(self.family, FamilySpec):
+            raise FormatError("family", f"expected a FamilySpec or None, got {self.family!r}")
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
+def _checked_edges(n: int, edges: list | tuple) -> list[tuple[int, int]]:
+    """The sorted, normalized pairs of a list or tuple of [u, v] pairs on n vertices; the first
+    fault, edges in list order, raises a FormatError naming vertex_count, edges, edges[i] or edges[i][k]."""
+    if type(n) is not int:
+        raise FormatError("vertex_count", f"expected an integer, got {n!r}")
+    if not 0 <= n <= _VERTEX_COUNT_MAX:
+        raise FormatError("vertex_count", f"must be between 0 and {_VERTEX_COUNT_MAX}, got {n}")
+    if type(edges) is not list and type(edges) is not tuple:
+        raise FormatError("edges", "expected a list of [u, v] pairs")
+    most = n * (n - 1) // 2
+    if len(edges) > most:
+        raise FormatError("edges", f"{len(edges)} listed, but a simple graph on {n} vertices has at most {most}")
+    first: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(edges):
+        if type(e) is not list and type(e) is not tuple or len(e) != 2:
+            raise FormatError(f"edges[{i}]", f"expected a [u, v] pair, got {e!r}")
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            k = 0 if type(u) is not int else 1
+            raise FormatError(f"edges[{i}][{k}]", f"expected an integer, got {e[k]!r}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"edges[{i}]", f"edge [{u}, {v}] out of range 0..{n - 1}")
+        if u == v:
+            raise FormatError(f"edges[{i}]", f"self-loop at vertex {u}")
+        pair = (u, v) if u < v else (v, u)
+        if first.setdefault(pair, i) != i:
+            raise FormatError(f"edges[{i}]", f"duplicate of edges[{first[pair]}], edge {pair}")
+    return sorted(first)
+
+
 def _trusted(n: int, edges: list[tuple[int, int]], spec: FamilySpec | None) -> Graph:
-    """A graph from generate or read_graph, stored as given: edges with
-    0 <= u < v < n, distinct and in sorted order.  Nothing is checked."""
+    """A graph stored as given: edges with 0 <= u < v < n, distinct and in
+    sorted order, from generate's stream or _checked_edges.  Nothing is checked."""
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)
     object.__setattr__(g, "edges", tuple(edges))

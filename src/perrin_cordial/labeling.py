@@ -86,13 +86,9 @@ def is_cordial(t: EdgeTally) -> bool:
 
 def is_valid(g: Graph, f: PerrinLabeling) -> bool:
     """True iff f labels every vertex of g with distinct indices in 0..|V|."""
-    return _is_valid(g.vertex_count, f)
-
-
-def _is_valid(n: int, f: PerrinLabeling) -> bool:
-    if f.domain_max != n:
+    if f.domain_max != g.vertex_count:
         return False
-    if set(f.assignment.keys()) != set(range(n)):
+    if set(f.assignment.keys()) != set(range(g.vertex_count)):
         return False
     indices = list(f.assignment.values())
     if len(set(indices)) != len(indices):

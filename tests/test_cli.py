@@ -229,6 +229,21 @@ def test_export_dot_byte_stable(tmp_path):
     assert a.stdout.startswith("graph {")
 
 
+def test_export_dot_rejects_an_invalid_labeling(tmp_path):
+    # P_0 twice: the check runs once, in the CLI, before any line is written
+    g = tmp_path / "g.json"
+    f = tmp_path / "f.json"
+    out = tmp_path / "x.dot"
+    g.write_text(write_graph(generate(FamilySpec("path", (3,)))))
+    f.write_text('{"domain_max": 3, "assignment": [{"vertex": 0, "index": 0}, '
+                 '{"vertex": 1, "index": 0}, {"vertex": 2, "index": 1}]}')
+    r = run_cli("export-dot", "--graph", str(g), "--labeling", str(f), "--out", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "invalid: labeling is not valid for this graph\n"
+    assert not out.exists()
+
+
 def test_label_dot_output(tmp_path):
     # label --dot writes its lines as they are made; the file is export_dot's
     # text, for a class-scan and a block-walk construction

@@ -186,6 +186,10 @@ GRAPH_FAULTS = [
     (3, [[0, 1], [1, 3]], {"1": "captain"}, "edges[1]", "edge [1, 3] out of range 0..2"),
     (3, [[0, 1], [1, 2], [0, 2], [2, 0]], None, "edges", "4 listed, but a simple graph on 3 vertices has at most 3"),
     (2, [[0, 1], [1, 0]], None, "edges", "2 listed, but a simple graph on 2 vertices has at most 1"),
+    (3, [[0.5, 2]], None, "edges[0][0]", "expected an integer, got 0.5"),
+    (3, [[True, 2]], None, "edges[0][0]", "expected an integer, got True"),
+    (2.5, [[0, 1]], None, "vertex_count", "expected an integer, got 2.5"),
+    (10_000_001, [], None, "vertex_count", "must be between 0 and 10000000, got 10000001"),
 ]
 
 
@@ -198,6 +202,34 @@ def test_graph_fault_table(n, edges, roles, field, message):
         read_graph(json.dumps(doc))
     assert err.value.field == field
     assert str(err.value) == f"{field}: {message}"
+
+
+@pytest.mark.parametrize("n,edges,roles,field,message", GRAPH_FAULTS)
+def test_graph_constructor_fault_table(n, edges, roles, field, message):
+    # Graph(...) runs read_graph's checker: the same field and the same text
+    with pytest.raises(FormatError) as err:
+        Graph(n, edges)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
+
+
+@pytest.mark.parametrize(
+    "edge,shown", [((0.5, 2), "0.5"), ((True, 2), "True"), ((0, 2.0), "2.0")]
+)
+def test_graph_constructor_checks_tuple_pairs(edge, shown):
+    k = 0 if type(edge[0]) is not int else 1
+    with pytest.raises(FormatError) as err:
+        Graph(3, (edge,))
+    assert str(err.value) == f"edges[0][{k}]: expected an integer, got {shown}"
+
+
+@pytest.mark.parametrize("family", ["path", {"name": "path", "params": [2]}, ("path", (2,))])
+def test_graph_family_must_be_a_family_spec(family):
+    # a name was stored and broke write_graph; a dict made the graph unhashable
+    with pytest.raises(FormatError) as err:
+        Graph(2, ((0, 1),), family=family)
+    assert err.value.field == "family"
+    assert str(err.value) == f"family: expected a FamilySpec or None, got {family!r}"
 
 
 def test_first_faulty_edge_in_list_order_is_reported():
