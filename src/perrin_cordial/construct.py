@@ -27,9 +27,10 @@ tally gate means the quotient is wrong and raises SchemeExhaustedError.
 
 Scans are deterministic, so constructions reproduce byte-for-byte; both
 even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
-No constructor stores its graph: the certificate and the tally gate each
-read a fresh stream of the family's edges (graphs._edge_stream), the one
-generate stores.
+No constructor stores its graph: the certificate reads a fresh stream of
+the family's edges (graphs._edge_stream), and the tally gate counts the
+hit's pattern, one byte per vertex, in slices over the pieces that stream
+is made of (graphs._pieces), not edge by edge.
 """
 
 from __future__ import annotations
@@ -37,20 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .graphs import FamilySpec, _edge_stream
-from .labeling import (
-    EdgeTally,
-    ParityPattern,
-    PerrinLabeling,
-    _realize,
-    _tally,
-    feasible_even_counts,
-    is_cordial,
-)
+from .graphs import FamilySpec, _edge_stream, _pieces
+from .labeling import EdgeTally, PerrinLabeling, _realize, feasible_even_counts, is_cordial
 from .oracle import _decide_parity
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
+_BYTE = {E: b"\0", O: b"\1"}
 
 
 class SchemeExhaustedError(RuntimeError):
@@ -73,17 +67,36 @@ def _name(spec: FamilySpec) -> str:
     return f"{spec.name}({','.join(map(str, spec.params))})"
 
 
-def _gate(spec: FamilySpec, pattern: ParityPattern) -> Constructed:
-    """The labeling of a scan's hit, once its real edge tally is cordial.
+def _gate(spec: FamilySpec, odd: bytes) -> Constructed:
+    """The labeling of a scan's hit, its byte per vertex 1 where odd, once its real edge tally is cordial.
 
     Hits come from exact counts, so a failing tally means the count (a block
     cut or a declared class quotient) is wrong.
     """
-    n, m, edges = _edge_stream(spec)
-    t = _tally(n, m, edges, pattern)
+    n, m, pieces = _pieces(spec)
+    t = _tally_pieces(m, pieces, odd)
     if not is_cordial(t):
         raise SchemeExhaustedError(f"{_name(spec)}: the scheme's hit fails the tally gate")
-    return Constructed(labeling=_realize(n, pattern), tally=t)
+    return Constructed(labeling=_realize(n, odd), tally=t)
+
+
+def _tally_pieces(m: int, pieces, odd: bytes) -> EdgeTally:
+    """The tally of the m edges that graphs._pieces lists, from slices of odd: a clique
+    or join cuts by its sides' odd counts, a zip lane where its two slices differ."""
+    e1 = 0
+    for kind, a, b in pieces:
+        side = odd[a.start : a.stop : a.step]
+        if kind == "zip":
+            x = int.from_bytes(side, "big")
+            for lane in b:
+                e1 += (x ^ int.from_bytes(odd[lane.start : lane.stop : lane.step], "big")).bit_count()
+        elif kind == "join":
+            k, kb = side.count(1), odd[b.start : b.stop : b.step].count(1)
+            e1 += k * (len(b) - kb) + (len(a) - k) * kb
+        else:
+            k = side.count(1)
+            e1 += k * (len(a) - k)
+    return EdgeTally(e0=m - e1, e1=e1)
 
 
 def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
@@ -120,12 +133,12 @@ def _line_cut(blocks) -> int:
     return cut
 
 
-def _blocks_pattern(blocks) -> ParityPattern:
-    """The parity pattern of blocks (size, first, last) in vertex-id order."""
-    pattern: ParityPattern = ()
-    for size, first, last in blocks:
-        pattern += (first,) * size if first is last else (first, last) * (size // 2)
-    return pattern
+def _blocks_pattern(blocks) -> bytes:
+    """The pattern of blocks (size, first, last) in vertex-id order, one byte per vertex, 1 where odd."""
+    return b"".join(
+        _BYTE[first] * size if first is last else (_BYTE[first] + _BYTE[last]) * (size // 2)
+        for size, first, last in blocks
+    )
 
 
 # ---------------------------------------------------------------- paths

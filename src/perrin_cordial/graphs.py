@@ -19,36 +19,39 @@ byte-for-byte:
                           m2 pendants m1+4..m1+m2+3 on vertex 3
 
 A graph is its vertex count, its edges and an optional family: a labeling
-is defined from V(G) and E(G) alone.  generate and construct share one
-edge stream per family (_edge_stream), which construct, gen and label --dot
-read as it comes and generate stores unchecked (_trusted): its edges are
-sorted and normalized by construction, and a test rebuilds them through
-Graph(...) over a grid.  Every other graph passes _checked_edges, which
-Graph(...) and read_graph share, so each fault raises the same FormatError.
+is defined from V(G) and E(G) alone.  Each family lists its edges as a few
+cliques, joins and zipped lanes over vertex ranges (_pieces), which the
+tally gate reads; their edge stream (_edge_stream) is what the certificate,
+gen and label --dot read as it comes and generate stores unchecked
+(_trusted): its edges are sorted and normalized by construction, and a test
+rebuilds them through Graph(...) over a grid.  Every other graph passes
+_checked_edges, which Graph(...) and read_graph share, so each fault raises
+the same FormatError.
 """
 
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 
-# each family's parameter names, the lower bound they all share and its edge count
+# each family's parameter names and the lower bound they all share
 _FAMILIES = {
-    "path": ("n", 1, lambda n: n - 1),
-    "cycle": ("n", 3, lambda n: n),
-    "complete": ("n", 1, lambda n: n * (n - 1) // 2),
-    "complete_bipartite": ("m n", 1, lambda m, n: m * n),
-    "star": ("n", 1, lambda n: n),
-    "wheel": ("n", 3, lambda n: 2 * n),
-    "bistar": ("m n", 1, lambda m, n: m + n + 1),
-    "triangular_snake": ("n", 1, lambda n: 3 * n),
-    "friendship": ("n", 1, lambda n: 3 * n),
-    "jellyfish": ("m1 m2", 0, lambda m1, m2: m1 + m2 + 5),
+    "path": ("n", 1),
+    "cycle": ("n", 3),
+    "complete": ("n", 1),
+    "complete_bipartite": ("m n", 1),
+    "star": ("n", 1),
+    "wheel": ("n", 3),
+    "bistar": ("m n", 1),
+    "triangular_snake": ("n", 1),
+    "friendship": ("n", 1),
+    "jellyfish": ("m1 m2", 0),
 }
 
-# _edge_stream makes no graph with more edges: streamed, label and gen of K_{2000,2001}
-# (4,002,000 edges) peak at 17 MB, but a stored edge costs 64 bytes (322 MB there), and
-# label path 1000001 still holds a labeling of every vertex (154 MB)
+# _pieces makes no graph with more edges.  The tally gate reads pieces, so the bound is for
+# what streams pairs: gen, label --dot, generate and the block scan's certificate.  Streamed,
+# K_{2000,2001} (4,002,000 edges) peaks at 17 MB, but a stored edge costs 64 bytes (322 MB);
+# label path 1000001 still holds a labeling of every vertex (141 MB)
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)
@@ -85,7 +88,7 @@ class FamilySpec:
             # no silent int(): 2.7 and "3" are not sizes, and True is not 1
             if isinstance(p, bool) or not isinstance(p, int):
                 raise FamilyParameterError(f"{self.name} parameters must be integers, got {p!r}")
-        names, lo, _ = _FAMILIES[self.name]
+        names, lo = _FAMILIES[self.name]
         names = names.split()
         if len(self.params) != len(names):
             raise FamilyParameterError(
@@ -162,54 +165,58 @@ def _trusted(n: int, edges: list[tuple[int, int]], spec: FamilySpec | None) -> G
     return g
 
 
-def _edge_stream(spec: FamilySpec):
-    """(|V|, |E|, an iterator over the edges) of the family graph with canonical numbering.
+def _pieces(spec: FamilySpec):
+    """(|V|, |E|, the pieces of the edges) of the family graph with canonical numbering.
 
-    Each branch lists its edges as (u, v) with u < v, distinct and in sorted
-    order: generate stores them as they come.  A graph with more than
-    _EDGES_MAX edges raises FamilyParameterError before anything is made.
+    A piece is ("clique", A, A), ("join", A, B) or ("zip", A, lanes) over
+    vertex ranges: the pairs of A, A x B, or a_i's edge to the i-th vertex of
+    each lane in turn.  Listed in order, the pieces' edges are (u, v) with
+    u < v, distinct and in sorted order.  A graph with more than _EDGES_MAX
+    edges raises FamilyParameterError before any edge is made.
     """
-    name, params = spec.name, spec.params
-    size = _FAMILIES[name][2](*params)
-    if size > _EDGES_MAX:
-        raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")
+    name, params, r = spec.name, spec.params, range
+    # a lone parameter is n, so star is K_{1,n}; jellyfish's m1, m2 are m, n
+    m, n = params if len(params) == 2 else (1, *params)
     if name == "path":
-        (n,) = params
-        edges, count = zip(range(n - 1), range(1, n)), n
+        count, pieces = n, (("zip", r(n - 1), (r(1, n),)),)
     elif name == "cycle":
-        (n,) = params
-        edges, count = chain(((0, 1), (0, n - 1)), zip(range(1, n - 1), range(2, n))), n
+        count, pieces = n, (("zip", r(1), (r(1, 2), r(n - 1, n))), ("zip", r(1, n - 1), (r(2, n),)))
     elif name == "complete":
-        (n,) = params
-        edges, count = combinations(range(n), 2), n
+        count, pieces = n, (("clique", r(n), r(n)),)
     elif name in ("complete_bipartite", "star"):
-        if name == "star":
-            m, n = 1, params[0]
-        else:
-            m, n = params
-        edges, count = product(range(m), range(m, m + n)), m + n
+        count, pieces = m + n, (("join", r(m), r(m, m + n)),)
     elif name == "wheel":
-        (n,) = params
-        edges = chain(zip(repeat(0), range(1, n + 1)), ((1, 2), (1, n)), zip(range(2, n), range(3, n + 1)))
-        count = n + 1
+        rim = ("zip", r(1, 2), (r(2, 3), r(n, n + 1))), ("zip", r(2, n), (r(3, n + 1),))
+        count, pieces = n + 1, (("join", r(1), r(1, n + 1)), *rim)
     elif name == "bistar":
-        m, n = params
-        edges = chain(((0, 1),), zip(repeat(0), range(2, m + 2)), zip(repeat(1), range(m + 2, m + n + 2)))
-        count = m + n + 2
+        count, pieces = m + n + 2, (("join", r(1), r(1, m + 2)), ("join", r(1, 2), r(m + 2, m + n + 2)))
     elif name == "triangular_snake":
         # path vertex i < n is followed by its path edge, then its two tips
-        (n,) = params
-        inner = chain.from_iterable(((i, i + 1), (i, n + i), (i, n + i + 1)) for i in range(1, n))
-        edges, count = chain(((0, 1), (0, n + 1)), inner, ((n, 2 * n),)), 2 * n + 1
-    elif name == "friendship":
-        (n,) = params
-        edges = chain(zip(repeat(0), range(1, 2 * n + 1)), zip(range(1, 2 * n, 2), range(2, 2 * n + 1, 2)))
+        inner = ("zip", r(1, n), (r(2, n + 1), r(n + 1, 2 * n), r(n + 2, 2 * n + 1)))
+        pieces = ("zip", r(1), (r(1, 2), r(n + 1, n + 2))), inner, ("zip", r(n, n + 1), (r(2 * n, 2 * n + 1),))
         count = 2 * n + 1
+    elif name == "friendship":
+        blades = ("zip", r(1, 2 * n, 2), (r(2, 2 * n + 1, 2),))
+        count, pieces = 2 * n + 1, (("join", r(1), r(1, 2 * n + 1)), blades)
     else:  # jellyfish
-        m1, m2 = params
-        pendants = chain(zip(repeat(2), range(4, m1 + 4)), zip(repeat(3), range(m1 + 4, m1 + m2 + 4)))
-        edges, count = chain(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)), pendants), m1 + m2 + 4
-    return count, size, edges
+        pendants = ("join", r(2, 3), r(4, m + 4)), ("join", r(3, 4), r(m + 4, m + n + 4))
+        count, pieces = m + n + 4, (("join", r(1), r(1, 4)), ("join", r(1, 2), r(2, 4)), *pendants)
+    size = sum([len(a) * (len(a) - 1) // 2 if kind == "clique" else len(a) * len(b) for kind, a, b in pieces])
+    if size > _EDGES_MAX:
+        raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")
+    return count, size, pieces
+
+
+def _edge_stream(spec: FamilySpec):
+    """(|V|, |E|, an iterator over the edges) of the family graph: each piece's pairs in
+    turn, a join's in product order and a zip's lanes a-major."""
+    count, size, pieces = _pieces(spec)
+    streams = [
+        combinations(a, 2) if kind == "clique" else product(a, b) if kind == "join"
+        else zip(a, *b) if len(b) == 1 else chain.from_iterable(zip(*[zip(a, lane) for lane in b]))
+        for kind, a, b in pieces
+    ]
+    return count, size, chain.from_iterable(streams)
 
 
 def generate(spec: FamilySpec) -> Graph:

@@ -62,17 +62,12 @@ class PerrinLabeling:
 
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:
     """Count induced labels over all edges of g under the parity pattern."""
-    return _tally(g.vertex_count, g.edge_count, g.edges, pattern)
-
-
-def _tally(n: int, m: int, edges, pattern: ParityPattern) -> EdgeTally:
-    """tally over the m edges of any iterable, on n vertices: nothing needs them stored."""
-    _check_length(n, pattern)
+    _check_length(g.vertex_count, pattern)
     e1 = 0
-    for u, v in edges:
+    for u, v in g.edges:
         if pattern[u] is not pattern[v]:
             e1 += 1
-    return EdgeTally(e0=m - e1, e1=e1)
+    return EdgeTally(e0=g.edge_count - e1, e1=e1)
 
 
 def _check_length(n: int, pattern: ParityPattern) -> None:
@@ -112,22 +107,22 @@ def realize(g: Graph, pattern: ParityPattern) -> PerrinLabeling:
     odd indices.  Any injective assignment of correct parities is
     tally-equivalent, so this choice only fixes reproducibility.
     """
-    return _realize(g.vertex_count, pattern)
+    return _realize(g.vertex_count, bytes([p is Parity.ODD for p in pattern]))
 
 
-def _realize(n: int, pattern: ParityPattern) -> PerrinLabeling:
-    _check_length(n, pattern)
+def _realize(n: int, odd: bytes) -> PerrinLabeling:
+    """realize of the pattern whose byte per vertex is 1 where it is odd."""
+    _check_length(n, odd)
     evens, odds = even_indices(n), odd_indices(n)
-    need_even = pattern.count(Parity.EVEN)
-    if need_even > len(evens):
-        raise LabelSupplyError(Parity.EVEN, need_even, len(evens))
-    if n - need_even > len(odds):
-        raise LabelSupplyError(Parity.ODD, n - need_even, len(odds))
-    # EVEN bound once: looking a member up on the enum class costs more than the rest of the loop
-    even, next_even, next_odd = Parity.EVEN, iter(evens).__next__, iter(odds).__next__
-    assignment = {}
-    for v, p in enumerate(pattern):
-        assignment[v] = next_even() if p is even else next_odd()
+    need_odd = odd.count(1)
+    if n - need_odd > len(evens):
+        raise LabelSupplyError(Parity.EVEN, n - need_odd, len(evens))
+    if need_odd > len(odds):
+        raise LabelSupplyError(Parity.ODD, need_odd, len(odds))
+    # each vertex takes the next unused index of its parity, picked by its byte
+    take, assignment = (iter(evens).__next__, iter(odds).__next__), {}
+    for v, p in enumerate(odd):
+        assignment[v] = take[p]()
     return PerrinLabeling(assignment=assignment, domain_max=n)
 
 

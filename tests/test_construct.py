@@ -6,6 +6,8 @@ import tracemalloc
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perrin_cordial import (
     Constructed,
@@ -27,6 +29,15 @@ from perrin_cordial import (
 )
 
 E, O = Parity.EVEN, Parity.ODD
+
+
+def _odd_bytes(pattern):
+    # the form _blocks_pattern builds: one byte per vertex, 1 where odd
+    return bytes([p is O for p in pattern])
+
+
+def _from_odd_bytes(odd):
+    return tuple(O if b else E for b in odd)
 
 
 def _parities(text):
@@ -417,6 +428,7 @@ def test_construct_dispatch():
 # ------------------------------------------------------ twin-class scan
 
 _construct = importlib.import_module("perrin_cordial.construct")
+_graphs = importlib.import_module("perrin_cordial.graphs")
 
 
 def _blow_up(sizes, cliques, joins):
@@ -478,9 +490,10 @@ def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
         assert cut == tally(g, tuple(pattern)).e1, (spec, a)
 
 
-def _streaming(g):
-    """A stand-in for construct's _edge_stream that yields g's edges whatever the spec."""
-    return lambda spec: (g.vertex_count, g.edge_count, iter(g.edges))
+def _edge_pieces(g):
+    """A stand-in for construct's _pieces: one single-edge piece per edge of g, whatever the spec."""
+    pieces = tuple(("join", range(u, u + 1), range(v, v + 1)) for u, v in g.edges)
+    return lambda spec: (g.vertex_count, g.edge_count, pieces)
 
 
 def test_construct_never_calls_generate(monkeypatch):
@@ -501,14 +514,51 @@ def test_construct_never_calls_generate(monkeypatch):
     assert [construct(spec) for spec in specs] == want
 
 
+def test_class_constructions_never_expand_pairs(monkeypatch):
+    # the gate tallies a class family's pieces, so no (u, v) pair is ever made
+    from test_acceptance import c04_grid
+
+    specs = [spec for spec in c04_grid()[::5] if spec.name in _construct.CLASS_FAMILIES]
+    specs += [FamilySpec("star", (n,)) for n in range(1, 40, 3)]
+    want = [construct(spec) for spec in specs]
+
+    def refuse(spec):
+        raise AssertionError(f"the pairs of {spec} expanded")
+
+    monkeypatch.setattr(_graphs, "_edge_stream", refuse)
+    monkeypatch.setattr(_construct, "_edge_stream", refuse)
+    assert {spec.name for spec in specs} == _construct.CLASS_FAMILIES
+    assert [construct(spec) for spec in specs] == want
+
+
+@st.composite
+def _spec_and_pattern(draw):
+    # from each family's lower bound up, so path(1), cycle(3), snake(1) and
+    # jellyfish(0, *) with their empty lanes and sides come up
+    family = draw(st.sampled_from(sorted(_graphs._FAMILIES)))
+    names, lo = _graphs._FAMILIES[family]
+    spec = FamilySpec(family, tuple(draw(st.integers(lo, lo + 12)) for _ in names.split()))
+    n = _graphs._pieces(spec)[0]
+    return spec, tuple(draw(st.lists(st.sampled_from((E, O)), min_size=n, max_size=n)))
+
+
+@given(_spec_and_pattern())
+@settings(max_examples=300)
+def test_piece_tally_is_the_edge_tally(spec_pattern):
+    spec, pattern = spec_pattern
+    _, m, pieces = _graphs._pieces(spec)
+    got = _construct._tally_pieces(m, pieces, _odd_bytes(pattern))
+    assert got == tally(generate(spec), pattern), spec
+
+
 @pytest.mark.parametrize("family_less", [False, True])
 def test_class_scan_rejects_a_quotient_the_edges_contradict(family_less, monkeypatch):
     # C_4 declared as K_{2,2} on classes {0,1}, {2,3}: the formula hit
     # (1, 1) tallies epsilon = -4, so the scan raises instead of skipping it,
-    # from the family's own stream or from the edges of a family-less graph
+    # from the family's own pieces or from the edges of a family-less graph
     if family_less:
         c4 = Graph(4, generate(FamilySpec("cycle", (4,))).edges)
-        monkeypatch.setattr(_construct, "_edge_stream", _streaming(c4))
+        monkeypatch.setattr(_construct, "_pieces", _edge_pieces(c4))
     with pytest.raises(SchemeExhaustedError):
         _construct._class_scan(FamilySpec("cycle", (4,)), (2, 2), joins=((0, 1),))
 
@@ -529,7 +579,7 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
         cases.append((sizes, cliques, joins, singles))
     for sizes, cliques, joins, singles in cases:
         g = _blow_up(sizes, cliques, joins)
-        monkeypatch.setattr(_construct, "_edge_stream", _streaming(g))
+        monkeypatch.setattr(_construct, "_pieces", _edge_pieces(g))
         got = _construct._class_scan(
             FamilySpec("path", (1,)),
             sizes,
@@ -555,12 +605,12 @@ BLOCK_WALKS = {
 def test_blocks_pattern_runs_in_order():
     # zero-size blocks add nothing; an alternating block starts with its first parity
     bp = _construct._blocks_pattern
-    assert bp(()) == ()
-    assert bp(((0, O, O), (0, E, E), (0, O, E), (0, E, O))) == ()
-    assert bp(((3, E, E), (2, O, O))) == (E, E, E, O, O)
-    assert bp(((4, O, E),)) == (O, E, O, E)
-    assert bp(((4, E, O),)) == (E, O, E, O)
-    assert bp(((1, O, O), (0, E, E), (2, E, O), (2, O, E), (1, E, E))) == (O, E, O, O, E, E)
+    assert bp(()) == _odd_bytes(())
+    assert bp(((0, O, O), (0, E, E), (0, O, E), (0, E, O))) == _odd_bytes(())
+    assert bp(((3, E, E), (2, O, O))) == _odd_bytes((E, E, E, O, O))
+    assert bp(((4, O, E),)) == _odd_bytes((O, E, O, E))
+    assert bp(((4, E, O),)) == _odd_bytes((E, O, E, O))
+    assert bp(((1, O, O), (0, E, E), (2, E, O), (2, O, E), (1, E, E))) == _odd_bytes((O, E, O, O, E, E))
 
 
 def _snake_reference(n, s, p2):
@@ -608,7 +658,7 @@ def _friendship_key(blocks):
 def test_block_builders_match_the_index_loop_builders(walk, key, reference):
     for n in range(1, 301):
         for blocks, _ in walk(n):
-            assert _construct._blocks_pattern(blocks) == reference(n, *key(blocks)), (n, blocks)
+            assert _construct._blocks_pattern(blocks) == _odd_bytes(reference(n, *key(blocks))), (n, blocks)
 
 
 @pytest.mark.parametrize("family", BLOCK_WALKS)
@@ -619,7 +669,7 @@ def test_block_walk_cut_is_the_real_tally(family):
     for n in sizes:
         g = generate(FamilySpec(family, (n,)))
         for blocks, cut in walk(n):
-            pattern = _construct._blocks_pattern(blocks)
+            pattern = _from_odd_bytes(_construct._blocks_pattern(blocks))
             assert len(pattern) == g.vertex_count, (family, n, blocks)
             assert pattern.count(E) in feasible_even_counts(g.vertex_count), (family, n, blocks)
             assert cut == tally(g, pattern).e1, (family, n, blocks)
@@ -650,13 +700,13 @@ def test_ring_walk_hit_is_the_full_walks_first_balanced_key(spokes):
 
 
 def test_block_constructions_tally_once(monkeypatch):
-    real, calls = _construct._tally, []
+    real, calls = _construct._tally_pieces, []
 
-    def counting(n, m, edges, pattern):
-        calls.append(n)
-        return real(n, m, edges, pattern)
+    def counting(m, pieces, odd):
+        calls.append(len(odd))
+        return real(m, pieces, odd)
 
-    monkeypatch.setattr(_construct, "_tally", counting)
+    monkeypatch.setattr(_construct, "_tally_pieces", counting)
     cases = [("path", n) for n in range(1, 201)]
     cases += [("cycle", n) for n in range(3, 201) if n % 4 != 2]
     cases += [("wheel", n) for n in range(3, 201)]

@@ -14,7 +14,7 @@ from perrin_cordial import (
     generate,
     read_graph,
 )
-from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES, _edge_stream
+from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES, _edge_stream, _pieces
 
 SIZE_CASES = [
     # (family, params, vertices, edges)
@@ -67,11 +67,12 @@ def test_size_closed_forms_over_grid():
             assert generate(FamilySpec("complete_bipartite", (m, n))).edge_count == m * n
             assert generate(FamilySpec("bistar", (m, n))).edge_count == m + n + 1
             assert generate(FamilySpec("jellyfish", (m, n))).edge_count == m + n + 5
-    # the table's counts, which generate checks against its bound before building
+    # the pieces' size sum, which generate checks against its bound before building
     for family in FAMILY_NAMES:
-        names, lo, edge_count = _FAMILIES[family]
+        names, lo = _FAMILIES[family]
         for params in product(range(lo, lo + 8), repeat=len(names.split())):
-            assert edge_count(*params) == generate(FamilySpec(family, params)).edge_count
+            spec = FamilySpec(family, params)
+            assert _pieces(spec)[1] == generate(spec).edge_count
 
 
 @pytest.mark.parametrize(
@@ -236,6 +237,31 @@ def test_generate_stores_the_edge_stream(family, params):
     g = generate(spec)
     assert (n, m) == (g.vertex_count, g.edge_count) == (g.vertex_count, len(streamed))
     assert tuple(streamed) == g.edges == Graph(n, streamed).edges
+
+
+def _expand(piece):
+    # each kind as its definition reads: pairs of A, A x B, a_i to lane i in turn
+    kind, a, b = piece
+    if kind == "clique":
+        return [(u, v) for i, u in enumerate(a) for v in a[i + 1 :]]
+    if kind == "join":
+        return [(u, v) for u in a for v in b]
+    return [(u, lane[i]) for i, u in enumerate(a) for lane in b]
+
+
+@pytest.mark.parametrize("family,params", TRUSTED_GRID)
+def test_pieces_expand_to_the_generated_edges(family, params):
+    spec = FamilySpec(family, params)
+    n, m, pieces = _pieces(spec)
+    g = generate(spec)
+    for kind, a, b in pieces:
+        assert kind in ("clique", "join", "zip"), spec
+        if kind == "zip":
+            assert all(len(lane) == len(a) for lane in b), spec
+    expanded = [e for piece in pieces for e in _expand(piece)]
+    assert expanded == sorted(set(expanded)) and all(0 <= u < v < n for u, v in expanded), spec
+    assert (n, m) == (g.vertex_count, len(expanded))
+    assert tuple(expanded) == g.edges == tuple(_edge_stream(spec)[2])
 
 
 def test_dense_families_list_edges_as_the_nested_loops_do():
