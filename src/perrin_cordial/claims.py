@@ -63,83 +63,71 @@ def _bipartite_claim(params: tuple[int, ...]) -> Optional[bool]:
     return True if t <= ODD_ODD_BOUNDS[t % 7] else None
 
 
-def builtin_claims() -> list[Claim]:
-    """The ten built-in claims, one per family."""
-    return [
-        Claim("path", "claimed: every path is cordial", lambda p: True),
-        Claim(
-            "cycle",
-            "claimed: cordial exactly when n is not 2 (mod 4)",
-            lambda p: p[0] % 4 != 2,
-        ),
-        Claim(
+_NOT_2_MOD_4 = "claimed: cordial exactly when n is not 2 (mod 4)", lambda p: p[0] % 4 != 2
+
+# Each family's claim and its desk-scale default grid, in FAMILY_NAMES order.  A grid is
+# built when called, so importing this module builds none.  Block-family and jellyfish
+# graphs in these grids have at most 24 vertices, so tests can cross-check them exhaustively.
+_CLAIMS = {
+    family: (Claim(family, source, predicate), grid)
+    for family, source, predicate, grid in [
+        ("path", "claimed: every path is cordial", lambda p: True, lambda: [(n,) for n in range(1, 21)]),
+        ("cycle", *_NOT_2_MOD_4, lambda: [(n,) for n in range(3, 23)]),
+        (
             "complete",
             "claimed: cordial exactly for n in {1,2,3,4,6,36,49,62,64,66,79,81,83}",
             lambda p: p[0] in KN_CLAIMED,
+            lambda: [(n,) for n in range(1, 101)],
         ),
-        Claim(
+        (
             "complete_bipartite",
             "claimed: cordial when a side is even with even side <= 6*odd+26 and "
             "!= 6*odd+22 (exact there); for odd-by-odd, cordial when m+n is within "
             "the mod-7 bound table (sufficient only)",
             _bipartite_claim,
+            lambda: [(m, n) for n in range(1, 44) for m in range(1, n + 1) if m + n <= 44],
         ),
-        Claim(
+        (
             "star",
             "claimed: cordial exactly for leaf counts 1..32 except 25",
             lambda p: p[0] in STAR_CLAIMED,
+            lambda: [(n,) for n in range(1, 41)],
         ),
-        Claim("wheel", "claimed: every wheel is cordial", lambda p: True),
-        Claim(
+        ("wheel", "claimed: every wheel is cordial", lambda p: True, lambda: [(n,) for n in range(3, 20)]),
+        (
             "bistar",
             "claimed: cordial exactly when 1 < m+n <= 26 or m+n in {28,29,30,32,36}",
             lambda p: p[0] + p[1] <= 26 or p[0] + p[1] in BISTAR_CLAIMED_EXTRA,
+            lambda: [(m, n) for n in range(1, 40) for m in range(1, n + 1) if m + n <= 40],
         ),
-        Claim(
-            "triangular_snake",
-            "claimed: cordial exactly when n is not 2 (mod 4)",
-            lambda p: p[0] % 4 != 2,
+        ("triangular_snake", *_NOT_2_MOD_4, lambda: [(n,) for n in range(1, 11)]),
+        ("friendship", *_NOT_2_MOD_4, lambda: [(n,) for n in range(1, 11)]),
+        (
+            "jellyfish",
+            "claimed: every jellyfish graph is cordial",
+            lambda p: True,
+            lambda: [(m1, m2) for m2 in range(0, 7) for m1 in range(0, m2 + 1)],
         ),
-        Claim(
-            "friendship",
-            "claimed: cordial exactly when n is not 2 (mod 4)",
-            lambda p: p[0] % 4 != 2,
-        ),
-        Claim("jellyfish", "claimed: every jellyfish graph is cordial", lambda p: True),
     ]
+}
 
 
-_CLAIMS = {c.family: c for c in builtin_claims()}
+def builtin_claims() -> list[Claim]:
+    """The ten built-in claims, one per family."""
+    return [claim for claim, _ in _CLAIMS.values()]
 
 
 def claim_for(family: str) -> Claim:
     if family not in _CLAIMS:
         raise KeyError(f"no built-in claim for family {family!r}")
-    return _CLAIMS[family]
+    return _CLAIMS[family][0]
 
 
 def default_grid(family: str) -> list[tuple[int, ...]]:
-    """Desk-scale grid per family; block-family and jellyfish graphs have at most
-    24 vertices, so tests can cross-check them exhaustively."""
-    if family == "path":
-        return [(n,) for n in range(1, 21)]
-    if family == "cycle":
-        return [(n,) for n in range(3, 23)]
-    if family == "complete":
-        return [(n,) for n in range(1, 101)]
-    if family == "complete_bipartite":
-        return [(m, n) for n in range(1, 44) for m in range(1, n + 1) if m + n <= 44]
-    if family == "star":
-        return [(n,) for n in range(1, 41)]
-    if family == "wheel":
-        return [(n,) for n in range(3, 20)]
-    if family == "bistar":
-        return [(m, n) for n in range(1, 40) for m in range(1, n + 1) if m + n <= 40]
-    if family in ("triangular_snake", "friendship"):
-        return [(n,) for n in range(1, 11)]
-    if family == "jellyfish":
-        return [(m1, m2) for m2 in range(0, 7) for m1 in range(0, m2 + 1)]
-    raise KeyError(f"no default grid for family {family!r}")
+    """The family's desk-scale grid, a new list on each call."""
+    if family not in _CLAIMS:
+        raise KeyError(f"no default grid for family {family!r}")
+    return _CLAIMS[family][1]()
 
 
 def _tool_verdict(spec: FamilySpec) -> tuple[bool, str, PerrinLabeling | None]:

@@ -12,7 +12,7 @@ number of odd edges, an exact closed form tested against the real tally,
 so only the first balanced candidate is built (_blocks_pattern) and tallied.
 For n = 7p the path and friendship walks start in the paper's pinned
 even count.  Shapes with n = 2 (mod 4) are proven infeasible by the
-degree-parity certificate (oracle.decide_parity).
+degree-parity certificate (labeling._parity_certificate).
 
 Complete, complete bipartite, star, bistar and jellyfish graphs declare a
 class quotient instead: classes of vertices with the same neighbours
@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 from .graphs import FamilySpec, _edge_stream, _pieces
-from .labeling import EdgeTally, PerrinLabeling, _realize, feasible_even_counts, is_cordial
-from .oracle import _decide_parity
+from .labeling import EdgeTally, PerrinLabeling, _parity_certificate, _realize, feasible_even_counts, is_cordial
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
@@ -107,9 +106,9 @@ def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
     """
     (n,) = spec.params
     count, m, edges = _edge_stream(spec)
-    proof = _decide_parity(count, m, edges)
-    if proof is not None:
-        return Infeasible(proof.reason)
+    reason = _parity_certificate(count, m, edges)
+    if reason is not None:
+        return Infeasible(reason)
     for blocks, cut in walk(n):
         if -1 <= m - 2 * cut <= 1:
             return _gate(spec, _blocks_pattern(blocks))

@@ -48,10 +48,12 @@ _FAMILIES = {
     "jellyfish": ("m1 m2", 0),
 }
 
-# _pieces makes no graph with more edges.  The tally gate reads pieces, so the bound is for
-# what streams pairs: gen, label --dot, generate and the block scan's certificate.  Streamed,
-# K_{2000,2001} (4,002,000 edges) peaks at 17 MB, but a stored edge costs 64 bytes (322 MB);
-# label path 1000001 still holds a labeling of every vertex (141 MB)
+# _pieces raises for a graph with more edges, so the bound holds wherever the edges are read:
+# gen, label --dot, generate, the block scan's certificate and the tally gate.  The class
+# scan reads only the parameters and meets it at the gate, on a hit, so a class family's
+# Infeasible comes at any size.  Streamed, K_{2000,2001} (4,002,000 edges) peaks at 17 MB,
+# but a stored edge costs 64 bytes (322 MB); label path 1000001 still holds a labeling of
+# every vertex (141 MB)
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)

@@ -7,6 +7,14 @@ example indices 0 and 2, both 0) may appear together.
 
 An edge picks up label 0 when its endpoints have equal parity and 1
 otherwise; only the per-vertex parity pattern matters to the tally.
+
+The degree-parity certificate (_parity_certificate) proves infeasibility
+without search: a pattern with even-vertex set S has cut(S) odd edges, and
+cut(S) is congruent to the number of odd-degree vertices in S (mod 2).  So
+when every degree is even each cut is even, while |E| = 2 (mod 4) needs the
+odd cut |E|/2.  It reads degrees from the edges only, in O(|V| + |E|).
+The constructors and oracle.decide_parity share it, so constructing never
+loads the exhaustive search.
 """
 
 from __future__ import annotations
@@ -135,3 +143,20 @@ def feasible_even_counts(vertex_count: int) -> tuple[int, ...]:
     """
     e = even_count(vertex_count)
     return tuple(s for s in (e - 1, e) if 0 <= s <= vertex_count)
+
+
+def _parity_certificate(n: int, m: int, edges) -> str | None:
+    """The certificate's reason when every degree is even and m = 2 (mod 4), else None,
+    for the graph on n vertices whose m edges an iterable yields, read once."""
+    if m % 4 != 2:
+        return None
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    if any(d % 2 for d in deg):
+        return None
+    return (
+        f"degree-parity certificate: every degree is even, so every labeling has an "
+        f"even number of odd edges, but |E| = {m} = 2 (mod 4) needs {m // 2} of them"
+    )

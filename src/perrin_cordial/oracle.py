@@ -16,14 +16,11 @@ witness is the first balanced set and `searched` its 1-based position (after
 every k1-set for a k2 witness).  In-process, proving cycle(22) infeasible
 (1,144,066 sets) takes about 0.007 s and K_24 (5,200,300 sets) about 0.045 s
 (2-vCPU Xeon, Python 3.11.7).  Degree parity is never consulted, so
-decide_exhaustive stays an independent check on the certificate below and
-on the constructors; CLI decide runs it after the certificate.
+decide_exhaustive stays an independent check on the degree-parity
+certificate and on the constructors; CLI decide runs it after the certificate.
 
-The degree-parity certificate (decide_parity) proves infeasibility without
-search: cut(S) is congruent to the number of odd-degree vertices in S
-(mod 2), so when every degree is even each cut is even, while a graph with
-|E| = 2 (mod 4) needs the odd cut |E|/2.  It reads degrees from the edges
-only, in O(|V| + |E|).
+decide_parity returns the degree-parity certificate
+(labeling._parity_certificate) as an infeasible Verdict with searched=0.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from math import comb
 from types import SimpleNamespace
 
 from .graphs import Graph
-from .labeling import PerrinLabeling, feasible_even_counts, realize
+from .labeling import PerrinLabeling, _parity_certificate, feasible_even_counts, realize
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
@@ -192,25 +189,8 @@ def _rank(n: int, subset: tuple[int, ...]) -> int:
 
 def decide_parity(g: Graph) -> Verdict | None:
     """Infeasible when every degree is even and |E| = 2 (mod 4), else None."""
-    return _decide_parity(g.vertex_count, g.edge_count, g.edges)
-
-
-def _decide_parity(n: int, m: int, edges) -> Verdict | None:
-    """decide_parity of the graph on n vertices whose m edges an iterable yields, read once."""
-    if m % 4 != 2:
-        return None
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    if any(d % 2 for d in deg):
-        return None
-    return Verdict(
-        feasible=False,
-        searched=0,
-        reason=f"degree-parity certificate: every degree is even, so every labeling has an "
-        f"even number of odd edges, but |E| = {m} = 2 (mod 4) needs {m // 2} of them",
-    )
+    reason = _parity_certificate(g.vertex_count, g.edge_count, g.edges)
+    return None if reason is None else Verdict(feasible=False, searched=0, reason=reason)
 
 
 def decide_exhaustive(g: Graph, cfg: SearchConfig = SearchConfig()) -> Verdict:

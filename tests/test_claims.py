@@ -3,6 +3,7 @@
 import pytest
 
 from perrin_cordial import (
+    FAMILY_NAMES,
     FamilySpec,
     SearchConfig,
     builtin_claims,
@@ -247,3 +248,15 @@ def test_default_grids_within_decider_capability():
 def test_unknown_family_claim():
     with pytest.raises(KeyError):
         claim_for("torus")
+    with pytest.raises(KeyError):
+        default_grid("torus")
+
+
+def test_one_stored_claim_per_family_in_family_order():
+    claims = builtin_claims()
+    assert [c.family for c in claims] == list(FAMILY_NAMES)
+    assert all(claim_for(c.family) is c for c in claims)
+    # each call returns a new list and a new grid
+    claims.clear()
+    default_grid("cycle").clear()
+    assert len(builtin_claims()) == 10 and len(default_grid("cycle")) == 20

@@ -357,6 +357,17 @@ def test_a_class_scan_that_builds_no_graph_has_no_edge_bound():
     assert r.stderr.startswith("infeasible: complete(1000000): none of 2 even-count vectors")
 
 
+def test_a_class_family_past_the_edge_bound_exits_by_its_verdict():
+    # infeasible: proven at any size (exit 1); feasible: the gate refuses the hit (exit 2)
+    r = run_cli("label", "complete", "3163")
+    assert r.returncode == 1
+    assert r.stderr.startswith("infeasible: complete(3163): none of 2 even-count vectors")
+    r = run_cli("label", "complete_bipartite", "3000", "3000")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: complete_bipartite(3000, 3000) has 9,000,000 edges, over the 5,000,000 limit\n"
+
+
 def test_bad_parameters_exit_code():
     assert run_cli("gen", "cycle", "2").returncode == 2
     assert run_cli("gen", "nonsense", "3").returncode == 2

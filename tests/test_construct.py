@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from perrin_cordial import (
     Constructed,
+    FamilyParameterError,
     FamilySpec,
     Graph,
     Infeasible,
@@ -144,6 +145,15 @@ def test_infeasible_class_scan_keeps_only_its_nearest_misses():
     assert isinstance(r, Infeasible)
     assert "none of 34291 " in r.reason and "(nearest: epsilon=-5713, epsilon=5711)" in r.reason
     assert peak < 100_000
+
+
+def test_a_class_scan_meets_the_edge_bound_only_on_a_hit():
+    # the scan reads the parameters alone; the gate reads the edges, so only a hit is bounded
+    r = construct(FamilySpec("complete", (3163,)))  # 5,000,703 edges
+    assert isinstance(r, Infeasible) and r.reason.startswith("complete(3163): none of 2 ")
+    with pytest.raises(FamilyParameterError) as err:
+        construct(FamilySpec("complete_bipartite", (3000, 3000)))
+    assert str(err.value) == "complete_bipartite(3000, 3000) has 9,000,000 edges, over the 5,000,000 limit"
 
 
 def _peak(fn):

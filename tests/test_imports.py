@@ -80,10 +80,10 @@ print(json.dumps([isinstance(module, types.ModuleType), perrin_cordial.construct
 SUBCOMMAND_MODULES = {
     "seq": "perrin",
     "gen": "graph_io graphs labeling perrin",
-    "label": "construct graph_io graphs labeling oracle perrin",
+    "label": "construct graph_io graphs labeling perrin",
     "verify": "graph_io graphs labeling perrin",
     "decide": "graph_io graphs labeling oracle perrin",
-    "sweep": "claims construct graph_io graphs labeling oracle perrin",
+    "sweep": "claims construct graph_io graphs labeling perrin",
     "export-dot": "graph_io graphs labeling perrin",
 }
 

@@ -13,6 +13,7 @@ from perrin_cordial import (
     FamilySpec,
     Graph,
     GraphTooLargeError,
+    Infeasible,
     Parity,
     SearchConfig,
     Verdict,
@@ -227,6 +228,16 @@ def test_parity_certificate_fires(family, params):
 )
 def test_parity_certificate_silent(family, params):
     assert decide_parity(generate(FamilySpec(family, params))) is None
+
+
+def test_parity_certificate_reason_is_the_constructors_reason():
+    reason = (
+        "degree-parity certificate: every degree is even, so every labeling has an "
+        "even number of odd edges, but |E| = 10 = 2 (mod 4) needs 5 of them"
+    )
+    v = decide_parity(generate(FamilySpec("cycle", (10,))))
+    assert v == Verdict(feasible=False, witness=None, searched=0, reason=reason)
+    assert construct(FamilySpec("cycle", (10,))) == Infeasible(reason)
 
 
 def test_parity_certificate_ignores_family_field():
