@@ -80,7 +80,7 @@ def cmd_gen(args) -> int:
 
 def cmd_label(args) -> int:
     from .construct import Infeasible, construct
-    from .graph_io import dot_lines, write_labeling
+    from .graph_io import dot_lines, labeling_chunks
     from .graphs import FamilySpec, _edge_stream
     spec = FamilySpec(_family_name(args.family), tuple(args.params))
     got = construct(spec)
@@ -90,7 +90,7 @@ def cmd_label(args) -> int:
     t = got.tally
     print(f"feasible\te0={t.e0}\te1={t.e1}\tepsilon={t.epsilon}")
     if args.json:
-        _emit(write_labeling(got.labeling), args.json)
+        _emit(labeling_chunks(got.labeling), args.json)
     if args.dot:
         n, _, edges = _edge_stream(spec)
         _emit(dot_lines(n, edges, got.labeling), args.dot)

@@ -43,7 +43,6 @@ from .labeling import EdgeTally, PerrinLabeling, _parity_certificate, _realize, 
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
-_BYTE = {E: b"\0", O: b"\1"}
 
 
 class SchemeExhaustedError(RuntimeError):
@@ -135,7 +134,7 @@ def _line_cut(blocks) -> int:
 def _blocks_pattern(blocks) -> bytes:
     """The pattern of blocks (size, first, last) in vertex-id order, one byte per vertex, 1 where odd."""
     return b"".join(
-        _BYTE[first] * size if first is last else (_BYTE[first] + _BYTE[last]) * (size // 2)
+        (b"\0", b"\1")[first is O] * size if first is last else (b"\0\1", b"\1\0")[first is O] * (size // 2)
         for size, first, last in blocks
     )
 
@@ -144,13 +143,15 @@ def _blocks_pattern(blocks) -> bytes:
 
 
 def _path_walk(n: int):
-    """Blocks O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens."""
+    """Blocks O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens.  The cut, 2 p2 + 1 + q1 while E^p1 and O^q2
+    are non-empty, grows with p2: each (s, q1) yields the least such p2 reaching (n - 2) / 2, then the end."""
     # the paper's n = 7p choice opens with an odd vertex: try q1 = 1 first
     q1s = (1, 0) if n % 7 == 0 else (0, 1)
     for s in feasible_even_counts(n):
         odds = n - s
         for q1 in q1s:
-            for p2 in range(min(s, odds - q1) + 1):
+            end, lo = min(s, odds - q1), max(0, -((1 + q1 - (n - 1) // 2) // 2))
+            for p2 in (lo, end) if lo < end else (end,) * (end >= 0):
                 blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (odds - q1 - p2, O, O))
                 yield blocks, _line_cut(blocks)
 

@@ -16,7 +16,7 @@ import json
 from itertools import islice
 
 from .graphs import FamilySpec, FormatError, Graph, _checked_edges, _trusted
-from .labeling import PerrinLabeling, is_valid, to_parity
+from .labeling import PerrinLabeling, _index_chunks, is_valid, to_parity
 from .perrin import Parity
 
 # figure convention: red for even (vertices and 0-labeled edges), black
@@ -24,8 +24,8 @@ from .perrin import Parity
 EVEN_COLOR = "red"
 ODD_COLOR = "black"
 
-# edges per piece of graph_chunks (about 50 KB), so gen never holds a whole file's text
-_EDGE_CHUNK = 4096
+# edges or vertices per piece of graph_chunks, labeling_chunks and dot_lines, so no file's text is held whole
+_CHUNK = 4096
 
 
 def _load_json(text: str) -> object:
@@ -42,10 +42,10 @@ def _require_int(obj: object, field: str) -> int:
 
 
 def graph_chunks(n: int, edges, family: FamilySpec | None = None):
-    """The document (vertex_count, edges, family) as json.dumps writes it, _EDGE_CHUNK edges a piece."""
+    """The document (vertex_count, edges, family) as json.dumps writes it, _CHUNK edges a piece."""
     yield f'{{"vertex_count": {json.dumps(n)}, "edges": ['
     edges, sep = iter(edges), ""
-    while chunk := list(islice(edges, _EDGE_CHUNK)):
+    while chunk := list(islice(edges, _CHUNK)):
         yield sep + json.dumps(chunk)[1:-1]
         sep = ", "
     yield "]"
@@ -79,14 +79,20 @@ def read_graph(text: str) -> Graph:
     return _trusted(n, edges, family)
 
 
+def labeling_chunks(f: PerrinLabeling):
+    """json.dumps(doc, indent=2) + "\\n" without its pure-Python encoder, _CHUNK entries a piece."""
+    yield f'{{\n  "domain_max": {f.domain_max},\n  "assignment": ['
+    sep = "\n"
+    for chunk in _index_chunks(f, _CHUNK):
+        entries = (f'    {{\n      "vertex": {v},\n      "index": {i}\n    }}' for v, i in chunk.items())
+        yield sep + ",\n".join(entries)
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
+
+
 def write_labeling(f: PerrinLabeling) -> str:
-    """The bytes of json.dumps(doc, indent=2) + "\\n", without its pure-Python encoder."""
-    entries = ",\n".join(
-        f'    {{\n      "vertex": {v},\n      "index": {f.assignment[v]}\n    }}'
-        for v in sorted(f.assignment)
-    )
-    listed = f"[\n{entries}\n  ]" if entries else "[]"
-    return f'{{\n  "domain_max": {f.domain_max},\n  "assignment": {listed}\n}}\n'
+    """The JSON text of labeling_chunks for f as one string."""
+    return "".join(labeling_chunks(f))
 
 
 def read_labeling(text: str) -> PerrinLabeling:
@@ -123,9 +129,10 @@ def dot_lines(n: int, edges, f: PerrinLabeling):
     """
     pattern = to_parity(f)
     yield "graph {\n  node [shape=circle];\n"
-    for v in range(n):
-        color = EVEN_COLOR if pattern[v] is Parity.EVEN else ODD_COLOR
-        yield f'  {v} [label="P_{f.assignment[v]}" color={color} fontcolor={color}];\n'
+    for chunk in _index_chunks(f, _CHUNK):
+        for v, i in chunk.items():
+            color = EVEN_COLOR if pattern[v] is Parity.EVEN else ODD_COLOR
+            yield f'  {v} [label="P_{i}" color={color} fontcolor={color}];\n'
     for u, v in edges:
         color = EVEN_COLOR if pattern[u] is pattern[v] else ODD_COLOR
         yield f"  {u} -- {v} [color={color}];\n"

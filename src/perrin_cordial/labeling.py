@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .perrin import Parity, even_count, even_indices, odd_indices, perrin_parity
+from .perrin import _EVEN_OFFSETS, _ODD_OFFSETS, Parity, even_count, perrin_parity
 
 ParityPattern = tuple[Parity, ...]
 
@@ -66,6 +66,12 @@ class PerrinLabeling:
 
     assignment: dict[int, int]
     domain_max: int
+    _odd = None  # realize's pattern, a byte per vertex (1 = odd), which builds assignment on first read
+
+    def __getattr__(self, name: str):
+        if name != "assignment" or self._odd is None:  # only realize's labeling lacks it
+            raise AttributeError(f"'PerrinLabeling' object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, _index_chunk(self._odd, 0, 0))
 
 
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:
@@ -89,8 +95,8 @@ def is_cordial(t: EdgeTally) -> bool:
 
 def is_valid(g: Graph, f: PerrinLabeling) -> bool:
     """True iff f labels every vertex of g with distinct indices in 0..|V|."""
-    if f.domain_max != g.vertex_count:
-        return False
+    if f.domain_max != g.vertex_count or f._odd is not None:  # realize's labeling is valid on its n vertices
+        return f.domain_max == g.vertex_count
     if set(f.assignment.keys()) != set(range(g.vertex_count)):
         return False
     indices = list(f.assignment.values())
@@ -101,6 +107,8 @@ def is_valid(g: Graph, f: PerrinLabeling) -> bool:
 
 def to_parity(f: PerrinLabeling) -> ParityPattern:
     """Per-vertex parities of the assigned indices, in vertex-id order."""
+    if f._odd is not None:
+        return tuple(map((Parity.EVEN, Parity.ODD).__getitem__, f._odd))
     indices = list(f.assignment.values())
     if len(set(indices)) != len(indices):
         raise InvalidLabelingError("labeling reuses a sequence index")
@@ -121,17 +129,39 @@ def realize(g: Graph, pattern: ParityPattern) -> PerrinLabeling:
 def _realize(n: int, odd: bytes) -> PerrinLabeling:
     """realize of the pattern whose byte per vertex is 1 where it is odd."""
     _check_length(n, odd)
-    evens, odds = even_indices(n), odd_indices(n)
-    need_odd = odd.count(1)
-    if n - need_odd > len(evens):
-        raise LabelSupplyError(Parity.EVEN, n - need_odd, len(evens))
-    if need_odd > len(odds):
-        raise LabelSupplyError(Parity.ODD, need_odd, len(odds))
-    # each vertex takes the next unused index of its parity, picked by its byte
-    take, assignment = (iter(evens).__next__, iter(odds).__next__), {}
-    for v, p in enumerate(odd):
-        assignment[v] = take[p]()
-    return PerrinLabeling(assignment=assignment, domain_max=n)
+    evens, need_odd = even_count(n), odd.count(1)
+    if n - need_odd > evens:
+        raise LabelSupplyError(Parity.EVEN, n - need_odd, evens)
+    if need_odd > n + 1 - evens:
+        raise LabelSupplyError(Parity.ODD, need_odd, n + 1 - evens)
+    (f := object.__new__(PerrinLabeling)).__dict__.update(domain_max=n, _odd=odd)
+    return f
+
+
+def _ranked(offsets, a: int, b: int) -> list[int]:
+    """The indices 7 * (r // k) + offsets[r % k] of the ranks a <= r < b, k = len(offsets)."""
+    k, q = len(offsets), a // len(offsets)
+    return [p + o for p in range(7 * q, 7 * -(-b // k), 7) for o in offsets][a - k * q : b - k * q]
+
+
+def _index_chunk(odd: bytes, v: int, odds: int) -> dict[int, int]:
+    """realize's {u: index} for u = v, v + 1, ... from odd, after `odds` odd vertices; even rank 0 is index 0."""
+    k, evens = odd.count(1), v - odds
+    even = [0] * (evens == 0) + _ranked(_EVEN_OFFSETS, max(0, evens - 1), evens - 1 + len(odd) - k)
+    take, chunk = (iter(even).__next__, iter(_ranked(_ODD_OFFSETS, odds, odds + k)).__next__), {}
+    for u, p in enumerate(odd, v):  # each vertex takes the next index of its parity, by rank
+        chunk[u] = take[p]()
+    return chunk
+
+
+def _index_chunks(f: PerrinLabeling, size: int):
+    """Dicts vertex -> index in vertex-id order: f.assignment sorted, or realize's, size vertices each."""
+    odd, odds = f._odd or b"", 0
+    if f._odd is None and f.assignment:
+        yield dict(sorted(f.assignment.items()))
+    for v in range(0, len(odd), size):
+        yield _index_chunk(odd[v : v + size], v, odds)
+        odds += odd.count(1, v, v + size)
 
 
 def feasible_even_counts(vertex_count: int) -> tuple[int, ...]:

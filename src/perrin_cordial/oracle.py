@@ -32,10 +32,7 @@ from math import comb
 from types import SimpleNamespace
 
 from .graphs import Graph
-from .labeling import PerrinLabeling, _parity_certificate, feasible_even_counts, realize
-from .perrin import Parity
-
-E, O = Parity.EVEN, Parity.ODD
+from .labeling import PerrinLabeling, _parity_certificate, _realize, feasible_even_counts
 
 
 class GraphTooLargeError(ValueError):
@@ -216,6 +213,5 @@ def decide_exhaustive(g: Graph, cfg: SearchConfig = SearchConfig()) -> Verdict:
             reason=f"no even-vertex set of size in {sizes} balances the edge labels",
         )
     searched = sum(comb(n, k) for k in sizes if k < len(hit)) + position
-    pattern = tuple(E if v in hit else O for v in range(n))
-    witness = realize(g, pattern) if cfg.want_witness else None
+    witness = _realize(n, bytes(v not in hit for v in range(n))) if cfg.want_witness else None
     return Verdict(feasible=True, witness=witness, searched=searched)

@@ -28,6 +28,7 @@ _PARITY_MOD7 = (_O, _O, _E, _E, _O, _E, _O)
 # offsets r in 1..7 of the even / odd terms b + r of each period b = 0, 7, 14, ...
 _EVEN_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7] is _E)
 _ODD_OFFSETS = tuple(r for r in range(1, 8) if _PARITY_MOD7[r % 7] is _O)
+_EVENS_UPTO = tuple(sum(o <= r for o in _EVEN_OFFSETS) for r in range(7))
 # the terms computed so far, grown by perrin_value only
 _VALUES = list(_SEEDS)
 
@@ -56,7 +57,7 @@ def even_count(n: int) -> int:
     index 0, three in each full period, and the even offsets up to r."""
     _check_index(n, "count bound")
     p, r = divmod(n, 7)
-    return 3 * p + 1 + sum(o <= r for o in _EVEN_OFFSETS)
+    return 3 * p + 1 + _EVENS_UPTO[r]
 
 
 def even_indices(n: int) -> list[int]:

@@ -27,7 +27,9 @@ from perrin_cordial import (
     is_valid,
     tally,
     to_parity,
+    write_labeling,
 )
+from perrin_cordial.graph_io import dot_lines
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -709,6 +711,21 @@ def test_ring_walk_hit_is_the_full_walks_first_balanced_key(spokes):
         assert _first_balanced(_construct._ring_walk(n, spokes), m) == expected, n
 
 
+def _full_path_walk(n):
+    # every candidate of the path in walk order, stepping p2 one at a time
+    for s in feasible_even_counts(n):
+        for q1 in (1, 0) if n % 7 == 0 else (0, 1):
+            for p2 in range(min(s, n - s - q1) + 1):
+                blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (n - s - q1 - p2, O, O))
+                yield blocks, _construct._line_cut(blocks)
+
+
+def test_path_walk_hit_is_the_full_walks_first_balanced_key():
+    for n in range(1, 3001):
+        expected = _first_balanced(_full_path_walk(n), n - 1)
+        assert expected is not None and _first_balanced(_construct._path_walk(n), n - 1) == expected, n
+
+
 def test_block_constructions_tally_once(monkeypatch):
     real, calls = _construct._tally_pieces, []
 
@@ -726,3 +743,21 @@ def test_block_constructions_tally_once(monkeypatch):
         calls.clear()
         got = construct(FamilySpec(family, (n,)))
         assert isinstance(got, Constructed) and len(calls) == 1, (family, n, calls)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("path", (9,)), FamilySpec("wheel", (13,)), FamilySpec("complete_bipartite", (3, 4)),
+     FamilySpec("jellyfish", (7, 7)), FamilySpec("triangular_snake", (7,))],
+    ids=lambda s: s.name,
+)
+def test_constructing_never_builds_the_assignment(spec):
+    # the labeling is its pattern: tally, checks and writers read that
+    got = construct(spec)
+    f, g = got.labeling, generate(spec)
+    assert tally(g, to_parity(f)) == got.tally and is_valid(g, f)
+    assert write_labeling(f) and "".join(dot_lines(g.vertex_count, g.edges, f))
+    assert "assignment" not in vars(f)
+    # the first read builds it once, in vertex order
+    built = f.assignment
+    assert vars(f)["assignment"] is built is f.assignment and list(built) == list(range(g.vertex_count))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perrin_cordial import (
+    FAMILY_NAMES,
     FamilySpec,
     FormatError,
     Graph,
@@ -23,8 +24,11 @@ from perrin_cordial import (
     write_labeling,
 )
 
-from perrin_cordial.graph_io import graph_chunks
+from perrin_cordial import graph_io
+from perrin_cordial.graph_io import dot_lines, graph_chunks, labeling_chunks
+from perrin_cordial.graphs import _edge_stream
 from strategies import graph_json
+from test_graphs import TRUSTED_GRID
 
 ALL_SPECS = [
     FamilySpec("path", (6,)),
@@ -86,6 +90,48 @@ def test_labeling_bytes_match_json_dumps(assignment, domain_max):
 def test_labeling_bytes_match_json_dumps_on_a_constructed_path():
     f = construct(FamilySpec("path", (1000,))).labeling
     assert write_labeling(f) == _json_text(f)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("chunk", [3, graph_io._CHUNK])
+def test_a_constructed_labeling_writes_as_its_assignment(family, chunk, monkeypatch):
+    # the writers read a constructed labeling's pattern; fed the same entries
+    # as a dict they write the same bytes, also where a chunk ends inside the labeling
+    monkeypatch.setattr(graph_io, "_CHUNK", chunk)
+    written = 0
+    for name, params in TRUSTED_GRID:
+        spec = FamilySpec(name, params)
+        got = construct(spec) if name == family else None
+        if not isinstance(got, Constructed):
+            continue
+        # plain's entries come from a second construction, so f's assignment stays unbuilt
+        f = got.labeling
+        plain = PerrinLabeling(dict(construct(spec).labeling.assignment), f.domain_max)
+        text = write_labeling(plain)
+        assert write_labeling(f) == "".join(labeling_chunks(f)) == text == _json_text(plain), spec
+        dots = []
+        for labeling in (f, plain):
+            n, _, edges = _edge_stream(spec)
+            dots.append("".join(dot_lines(n, edges, labeling)))
+        assert dots[0] == dots[1], spec
+        assert "assignment" not in vars(f), spec
+        written += 1
+    assert written
+
+
+def test_label_json_of_a_long_path_holds_no_assignment():
+    # path(200001): the labeling is its pattern, and the text goes out a chunk at a time
+    tracemalloc.start()
+    try:
+        f = construct(FamilySpec("path", (200_001,))).labeling
+        size = sum(map(len, labeling_chunks(f)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "assignment" not in vars(f)
+    # the assignment dict alone takes about 28 MB
+    assert peak < 2_000_000, peak
+    assert size == len(write_labeling(PerrinLabeling(dict(f.assignment), f.domain_max)))
 
 
 def test_graph_json_shape():

@@ -1,5 +1,6 @@
 """Tallies, validity, parity patterns, and realization."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -9,18 +10,23 @@ from hypothesis import strategies as st
 from perrin_cordial import (
     EdgeTally,
     FamilySpec,
+    InvalidLabelingError,
     LabelSupplyError,
     Parity,
     PatternLengthError,
     PerrinLabeling,
+    even_indices,
     feasible_even_counts,
     generate,
     is_cordial,
     is_valid,
+    odd_indices,
     realize,
     tally,
     to_parity,
 )
+from perrin_cordial.labeling import _index_chunks, _ranked, _realize
+from perrin_cordial.perrin import _EVEN_OFFSETS, _ODD_OFFSETS
 from strategies import graph_and_pattern, graph_and_valid_labeling
 
 E, O = Parity.EVEN, Parity.ODD
@@ -167,3 +173,51 @@ def test_feasible_even_counts():
     # even_count(4) = 3 available even indices among {0..4}
     assert feasible_even_counts(4) == (2, 3)
     assert feasible_even_counts(1) == (0, 1)
+
+
+@given(st.integers(0, 3000), st.data())
+@settings(max_examples=200)
+def test_rank_arithmetic_is_the_index_lists(n, data):
+    # even rank r >= 1 and odd rank r, each rank alone and from any rank on
+    evens, odds = even_indices(n), odd_indices(n)
+    assert [_ranked(_EVEN_OFFSETS, r - 1, r) for r in range(1, len(evens))] == [[i] for i in evens[1:]]
+    assert [_ranked(_ODD_OFFSETS, r, r + 1) for r in range(len(odds))] == [[i] for i in odds]
+    a, b = data.draw(st.integers(1, len(evens))), data.draw(st.integers(0, len(odds)))
+    assert _ranked(_EVEN_OFFSETS, a - 1, len(evens) - 1) == evens[a:]
+    assert _ranked(_ODD_OFFSETS, b, len(odds)) == odds[b:]
+
+
+@given(st.integers(0, 300), st.integers(1, 40), st.data())
+@settings(max_examples=200)
+def test_index_chunks_give_each_vertex_the_next_index_of_its_parity(n, size, data):
+    # each chunk starts at the ranks its earlier chunks reached
+    s = data.draw(st.sampled_from(feasible_even_counts(n)))
+    odd = bytes(data.draw(st.permutations([0] * s + [1] * (n - s))))
+    evens, odds = iter(even_indices(n)), iter(odd_indices(n))
+    expected = {v: next(odds if p else evens) for v, p in enumerate(odd)}
+    chunks = list(_index_chunks(_realize(n, odd), size))
+    assert [list(c) for c in chunks] == [list(range(v, min(v + size, n))) for v in range(0, n, size)]
+    assert {v: i for c in chunks for v, i in c.items()} == expected == _realize(n, odd).assignment
+
+
+@given(graph_and_valid_labeling(max_n=40))
+@settings(max_examples=100)
+def test_a_realized_labeling_agrees_with_its_assignment(gf):
+    # realize's labeling holds its pattern; each check gets a fresh one, whose
+    # assignment no earlier read has built
+    g, pattern = gf[0], to_parity(gf[1])
+    n = g.vertex_count
+    plain = PerrinLabeling(dict(realize(g, pattern).assignment), n)
+    assert realize(g, pattern) == plain and plain == realize(g, pattern)
+    assert to_parity(realize(g, pattern)) == to_parity(plain) == pattern
+    assert is_valid(g, realize(g, pattern)) and is_valid(g, plain)
+    assert not is_valid(generate(FamilySpec("path", (n + 1,))), realize(g, pattern))
+    # replace gives a labeling of the assignment it is handed
+    if n >= 2:
+        reused = {**plain.assignment, 0: plain.assignment[1]}
+        swapped = dataclasses.replace(realize(g, pattern), assignment=reused)
+        assert swapped.assignment is reused and swapped == PerrinLabeling(reused, n)
+        assert not is_valid(g, swapped)
+        with pytest.raises(InvalidLabelingError):
+            to_parity(swapped)
+    assert dataclasses.replace(realize(g, pattern), domain_max=n + 1) == PerrinLabeling(plain.assignment, n + 1)
