@@ -1,5 +1,6 @@
 """Family constructors: worked examples, figure fixtures, soundness gates."""
 
+import hashlib
 import importlib
 import random
 import tracemalloc
@@ -761,3 +762,36 @@ def test_constructing_never_builds_the_assignment(spec):
     # the first read builds it once, in vertex order
     built = f.assignment
     assert vars(f)["assignment"] is built is f.assignment and list(built) == list(range(g.vertex_count))
+
+
+# ------------------------------------------------------ wide-region digest
+
+
+def _wide_region():
+    """Every family over a region wider than the c04 grid: past the jellyfish and
+    bistar infeasibility thresholds, and the long block walks."""
+    for n in range(1, 400):
+        yield from (FamilySpec(f, (n,)) for f in ("path", "triangular_snake", "friendship"))
+    for n in range(3, 400):
+        yield from (FamilySpec(f, (n,)) for f in ("cycle", "wheel"))
+    for n in range(1, 200):
+        yield from (FamilySpec(f, (n,)) for f in ("complete", "star"))
+    yield from (FamilySpec("complete_bipartite", (m, n)) for m in range(1, 60) for n in range(1, 60))
+    yield from (FamilySpec("bistar", (m, n)) for m in range(1, 41) for n in range(1, 13 * m + 60))
+    yield from (FamilySpec("jellyfish", (a, b)) for a in range(41) for b in range(13 * a + 120))
+
+
+# SHA-256 over _wide_region() of each construction's pattern bytes and tally, or
+# its Infeasible reason; pins every scan's `tried` count and nearest misses
+WIDE_REGION_DIGEST = "b71f3621cf4cd2c2bd24eb86a4dac11391a3f5a78a0c4e0a3aeaa95e31a401f1"
+
+
+def test_wide_region_constructions_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for spec in _wide_region():
+        got = construct(spec)
+        if isinstance(got, Infeasible):
+            h.update(f"{spec} infeasible: {got.reason}\n".encode())
+        else:
+            h.update(f"{spec} {got.tally.e0} {got.tally.e1}\n".encode() + _odd_bytes(to_parity(got.labeling)))
+    assert h.hexdigest() == WIDE_REGION_DIGEST
