@@ -10,9 +10,11 @@ block-structured parity scheme (_block_scan).  A walk yields each
 candidate's blocks, (size, first, last) runs in vertex-id order, and its
 number of odd edges, an exact closed form tested against the real tally,
 so only the first balanced candidate is built (_blocks_pattern) and tallied.
-For n = 7p the path and friendship walks start in the paper's pinned
-even count.  Shapes with n = 2 (mod 4) are proven infeasible by the
-degree-parity certificate (labeling._parity_certificate).
+Each cut is monotone in the walk's inner index, so a walk solves for the one
+or two candidates per even total where it crosses |E| / 2.  For n = 7p the
+path and friendship walks start in the paper's pinned even count.  Shapes
+with n = 2 (mod 4) are proven infeasible by the degree-parity certificate,
+read from the pieces (_piece_certificate) with labeling's reason.
 
 Complete, complete bipartite, star, bistar and jellyfish graphs declare a
 class quotient instead: classes of vertices with the same neighbours
@@ -21,16 +23,18 @@ pairs.  Vertices within a class are exchangeable, so one scan over the
 even count of each class decides them (_class_scan).  It tries the
 parities of the leading single-vertex classes (preferred choices, then
 binary counting), then each admissible even total ascending, then each
-split of the remaining evens, lower classes filled first.  It covers every
-count vector, so its Infeasible is a proof; a formula hit that fails the
-tally gate means the quotient is wrong and raises SchemeExhaustedError.
+split of the remaining evens, lower classes filled first.  Per head, the
+imbalance along that run is a polynomial whose coefficients _heads reads
+from the quotient's structure; a linear run jumps to where it crosses
+[-1, 1], and a quadratic one steps.  It covers every count vector, so its
+Infeasible is a proof; a formula hit that fails the tally gate means the
+quotient is wrong and raises SchemeExhaustedError.
 
 Scans are deterministic, so constructions reproduce byte-for-byte; both
 even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
-No constructor stores its graph: the certificate reads a fresh stream of
-the family's edges (graphs._edge_stream), and the tally gate counts the
-hit's pattern, one byte per vertex, in slices over the pieces that stream
-is made of (graphs._pieces), not edge by edge.
+No constructor stores or streams its graph: the tally gate counts the hit's
+pattern, one byte per vertex, and the certificate flips degree parities,
+both in slices over the family's pieces (graphs._pieces), not edge by edge.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .graphs import FamilySpec, _edge_stream, _pieces
-from .labeling import EdgeTally, PerrinLabeling, _parity_certificate, _realize, feasible_even_counts, is_cordial
+from .graphs import FamilySpec, _pieces
+from .labeling import EdgeTally, PerrinLabeling, _parity_reason, _realize, feasible_even_counts, is_cordial
 from .perrin import Parity
 
 E, O = Parity.EVEN, Parity.ODD
@@ -65,13 +69,12 @@ def _name(spec: FamilySpec) -> str:
     return f"{spec.name}({','.join(map(str, spec.params))})"
 
 
-def _gate(spec: FamilySpec, odd: bytes) -> Constructed:
+def _gate(spec: FamilySpec, odd: bytes, n: int, m: int, pieces) -> Constructed:
     """The labeling of a scan's hit, its byte per vertex 1 where odd, once its real edge tally is cordial.
 
-    Hits come from exact counts, so a failing tally means the count (a block
-    cut or a declared class quotient) is wrong.
+    n, m and pieces are graphs._pieces(spec).  Hits come from exact counts, so a failing
+    tally means the count (a block cut or a declared class quotient) is wrong.
     """
-    n, m, pieces = _pieces(spec)
     t = _tally_pieces(m, pieces, odd)
     if not is_cordial(t):
         raise SchemeExhaustedError(f"{_name(spec)}: the scheme's hit fails the tally gate")
@@ -104,14 +107,41 @@ def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
     edges; only the hit's pattern is built and tallied.
     """
     (n,) = spec.params
-    count, m, edges = _edge_stream(spec)
-    reason = _parity_certificate(count, m, edges)
+    count, m, pieces = _pieces(spec)
+    reason = _piece_certificate(count, m, pieces)
     if reason is not None:
         return Infeasible(reason)
     for blocks, cut in walk(n):
         if -1 <= m - 2 * cut <= 1:
-            return _gate(spec, _blocks_pattern(blocks))
+            return _gate(spec, _blocks_pattern(blocks), count, m, pieces)
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _piece_certificate(n: int, m: int, pieces) -> str | None:
+    """labeling._parity_certificate of the graph on n vertices whose m edges graphs._pieces lists.
+
+    A piece adds one degree to each vertex of a slice: |A| - 1 over a clique A,
+    |B| to A and |A| to B for a join, one per lane to A and one to each lane
+    for a zip.  So the degree parities are a few slice flips of one bytearray.
+    """
+    if m % 4 != 2:
+        return None
+    parity = bytearray(n)
+    for kind, a, b in pieces:
+        if kind == "clique":
+            flips = ((a, len(a) - 1),)
+        elif kind == "join":
+            flips = ((a, len(b)), (b, len(a)))
+        else:
+            flips = ((a, len(b)), *((lane, 1) for lane in b))
+        for r, k in flips:
+            if k % 2:
+                side = slice(r.start, r.stop, r.step)
+                parity[side] = parity[side].translate(_FLIP)
+    return None if 1 in parity else _parity_reason(m)
 
 
 def _line_cut(blocks) -> int:
@@ -177,16 +207,18 @@ def _ring_walk(n: int, spokes: bool = False):
 
 
 def _snake_walk(n: int):
-    """Blocks with the last p2 + 1 path vertices and p2 tips even, then p1 leading tips;
-    path ids 0..n, then tip ids n+1..2n (tip n+i over path edge (i-1, i))."""
+    """Blocks with the last p2 + 1 path vertices and p2 tips even, then p1 = s - 1 - 2 p2 leading
+    tips; path ids 0..n, then tip ids n+1..2n (tip n+i over path edge (i-1, i)).  The cut,
+    2 + 2 min(p1, n - p2 - 1), falls as p2 grows: each s yields the least p2 with cut <= (3n + 1) / 2."""
+    # where the path turns even, one odd path edge and one odd tip edge; two per
+    # even tip over the odd path; at p2 = n the min is -1 and the cut 0
+    most = ((3 * n + 1) // 2 - 2) // 2  # the largest min(...) with cut <= (3n + 1) / 2
     for s in feasible_even_counts(2 * n + 1):
-        for p2 in range(min(n, (s - 1) // 2) + 1):
+        p2 = max(0, s - 1 - n, min(-((most + 1 - s) // 2), n - 1 - most))
+        if p2 <= (s - 1) // 2:
             p1 = s - 2 * p2 - 1
-            if p1 + p2 <= n:
-                # where the path turns even, one odd path edge and one odd tip
-                # edge; two per even tip over the odd path
-                blocks = ((n - p2, O, O), (p2 + 1 + p1, E, E), (n - p1 - p2, O, O), (p2, E, E))
-                yield blocks, 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
+            blocks = ((n - p2, O, O), (p2 + 1 + p1, E, E), (n - p1 - p2, O, O), (p2, E, E))
+            yield blocks, 2 + 2 * min(p1, n - p2 - 1)
 
 
 # ------------------------------------------------------------ friendship
@@ -194,83 +226,87 @@ def _snake_walk(n: int):
 
 def _friendship_walk(n: int):
     """Blocks with p1 all-even blades, then p2 = s - 2*p1 blades with one even tip;
-    the apex, id 0, stays odd, and blade i is ids (2i-1, 2i)."""
+    the apex, id 0, stays odd, and blade i is ids (2i-1, 2i).  The cut, 2 (s - p1),
+    falls as p1 grows: each s yields the least p1 with cut <= (3n + 1) / 2."""
     sizes = feasible_even_counts(2 * n + 1)
     # the paper's n = 7p choice skips an odd index: try s = even_count first
     for s in sizes[::-1] if n % 7 == 0 else sizes:
-        for p1 in range(s // 2 + 1):
+        p1 = max(0, s - n, s - (3 * n + 1) // 4)
+        if p1 <= s // 2:
+            # the odd apex meets every even tip; a half-even blade cuts its edge
             p2 = s - 2 * p1
-            if p1 + p2 <= n:
-                # the odd apex meets every even tip; a half-even blade cuts its edge
-                blocks = ((1, O, O), (2 * p1, E, E), (2 * p2, E, O), (2 * (n - p1 - p2), O, O))
-                yield blocks, 2 * (p1 + p2)
+            blocks = ((1, O, O), (2 * p1, E, E), (2 * p2, E, O), (2 * (n - p1 - p2), O, O))
+            yield blocks, 2 * (p1 + p2)
 
 
 # ------------------------------------------------------ twin-class scan
 
 
-def _class_cut(sizes, cliques, joins, a) -> int:
-    """Odd edges when class i holds a[i] evens: clique classes and joined pairs."""
-    cut = sum([a[i] * (sizes[i] - a[i]) for i in cliques])
-    for i, j in joins:
-        cut += a[i] * (sizes[j] - a[j]) + a[j] * (sizes[i] - a[i])
-    return cut
-
-
-def _run(r: int, sizes) -> tuple:
-    """(first, n): the n splits _step(first, j) of r evens over one or two classes;
-    the first fills the lower class first and each step moves one even upwards."""
-    if len(sizes) == 1:
-        return (r,), int(0 <= r <= sizes[0])
-    hi = min(sizes[0], r)
-    return (hi, r - hi), max(0, hi - max(0, r - sizes[1]) + 1)
-
-
-def _step(fill, j: int):
-    return (*fill[:-2], fill[-2] - j, fill[-1] + j) if j else fill
-
-
 @cache
-def _single_parities(singles: int, preferred) -> tuple:
-    """Even counts of the single-vertex classes: preferred choices, then binary counting."""
+def _heads(singles: int, preferred, cliques, joins) -> tuple:
+    """The scan's per-head coefficients, read from the quotient's structure alone, never its sizes.
+
+    A head fixes the single classes' even counts: preferred choices, then binary counting.  Its
+    row is (head, evens, cut among singles, then for run classes c = p, q (ids singles, singles + 1)
+    the cut h_i (|c| - a_c) + (1 - h_i) a_c to joined singles i, as coefficients on |c| and a_c).
+    Then come p's and q's cliques and their joins, which make the cut quadratic.
+    """
     binary = (tuple(i for i in range(singles) if bits >> i & 1) for bits in range(1 << singles))
-    choices = dict.fromkeys([*preferred, *binary])
-    return tuple(tuple(int(i in e) for i in range(singles)) for e in choices)
+    rows = []
+    for e in dict.fromkeys([*preferred, *binary]):
+        head, inner, pull = tuple(int(i in e) for i in range(singles)), 0, [0, 0, 0, 0]
+        for i, j in map(sorted, joins):
+            if j < singles:
+                inner += head[i] ^ head[j]
+            elif i < singles:
+                pull[2 * (j - singles)] += head[i]
+                pull[2 * (j - singles) + 1] += 1 - 2 * head[i]
+        rows.append((head, sum(head), inner, *pull))
+    pq = [singles, singles + 1]
+    return tuple(rows), singles in cliques, singles + 1 in cliques, sum(sorted(pair) == pq for pair in joins)
 
 
 def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, preferred=()):
     """First even-count vector of the declared quotient that balances spec's graph.
 
-    sizes lists `singles` single vertices, then one or two larger classes; class i
-    owns the next sizes[i] vertex ids, and a hit makes the first a[i] of them even.
+    sizes lists `singles` single vertices, then one or two run classes p and q; class i
+    owns the next sizes[i] vertex ids, and a hit makes the first a[i] of them even.  A head
+    and an even total make a run of splits (a_p, a_q), each step moving an even to q.
     """
     # n and |E| come from the quotient; the edges are read only to gate a hit
     n, total = sum(sizes), sum(sizes[i] * sizes[j] for i, j in joins)
     total += sum(sizes[i] * (sizes[i] - 1) // 2 for i in cliques)
-    counts, multi = feasible_even_counts(n), sizes[singles:]
-    # eps is quadratic along a run: two cut values and its second difference dd
-    # (+4 per clique among the two run classes, -8 if they are joined) give the rest
-    p, q = len(sizes) - 2, len(sizes) - 1
-    dd = 4 * ((p in cliques) + (q in cliques)) - 8 * ((p, q) in joins or (q, p) in joins)
+    counts, (tp, tq) = feasible_even_counts(n), (*sizes[singles:], 0)[:2]
+    rows, cp, cq, jn = _heads(singles, preferred, cliques, joins)
+    dd = 4 * (cp + cq) - 8 * jn
     # the nearest misses on each side; |eps| <= total, so the sentinels are never misses
     tried, below, above = 0, -total - 2, total + 2
-    for head in _single_parities(singles, preferred):
+    for head, evens, inner, sp, ap, sq, aq in rows:
+        base = total - 2 * (inner + sp * tp + sq * tq)
         for s in counts:
-            first, length = _run(s - sum(head), multi)
-            e, d = total - 2 * _class_cut(sizes, cliques, joins, head + first), 0
-            for j in range(length):
+            # the run of r evens over p and q: its first split (x, y), length, eps and first difference
+            r = s - evens
+            x = min(tp, r)
+            y = r - x
+            length = max(0, x - max(0, r - tq) + 1)
+            j0, j1 = 0, length
+            quad = cp * x * (tp - x) + cq * y * (tq - y) + jn * (x * tq + y * tp - 2 * x * y)
+            e = base - 2 * (ap * x + aq * y + quad)
+            d = 2 * (ap - aq + cp * (tp + 1 - 2 * x) + cq * (2 * y + 1 - tq) + jn * (tq - tp + 2 * x - 2 * y - 2))
+            if not dd and length > 2:
+                # a linear run is monotone: only the steps beside its crossing of [-1, 1] count
+                c = -((1 + e) // d) if d > 0 else -((e - 1) // d) if d else 0
+                j0 = max(0, min(c, length) - 1)
+                j1, e = min(j0 + 2, length), e + j0 * d
+            for j in range(j0, j1):
                 if -1 <= e <= 1:
-                    a = head + _step(first, j)
+                    a = (*head, x - j, y + j)
                     blocks = [b for t, k in zip(sizes, a) for b in ((k, E, E), (t - k, O, O))]
-                    return _gate(spec, _blocks_pattern(blocks))
+                    return _gate(spec, _blocks_pattern(blocks), *_pieces(spec))
                 if below < e < 0:
                     below = e
                 elif 0 < e < above:
                     above = e
-                if j == 0 and length > 1:
-                    d = total - 2 * _class_cut(sizes, cliques, joins, head + _step(first, 1)) - e
-                    if d == dd == 0:
-                        break  # eps is constant along this run, so the rest misses too
                 e, d = e + d, d + dd
             tried += length
     nearest = [f"epsilon={e}" for e in (below, above) if abs(e) <= total]

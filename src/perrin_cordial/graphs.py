@@ -21,10 +21,10 @@ byte-for-byte:
 A graph is its vertex count, its edges and an optional family: a labeling
 is defined from V(G) and E(G) alone.  Each family lists its edges as a few
 cliques, joins and zipped lanes over vertex ranges (_pieces), which the
-tally gate reads; their edge stream (_edge_stream) is what the certificate,
-gen and label --dot read as it comes and generate stores unchecked
-(_trusted): its edges are sorted and normalized by construction, and a test
-rebuilds them through Graph(...) over a grid.  Every other graph passes
+constructors' tally gate and degree-parity certificate read; their edge
+stream (_edge_stream) is what gen and label --dot read as it comes and
+generate stores unchecked (_trusted): its edges are sorted and normalized
+by construction, and a test rebuilds them through Graph(...) over a grid.  Every other graph passes
 _checked_edges, which Graph(...) and read_graph share, so each fault raises
 the same FormatError.
 """
@@ -52,8 +52,8 @@ _FAMILIES = {
 # gen, label --dot, generate, the block scan's certificate and the tally gate.  The class
 # scan reads only the parameters and meets it at the gate, on a hit, so a class family's
 # Infeasible comes at any size.  Streamed, K_{2000,2001} (4,002,000 edges) peaks at 17 MB,
-# but a stored edge costs 64 bytes (322 MB); label path 1000001 still holds a labeling of
-# every vertex (141 MB)
+# but a stored edge costs 64 bytes (322 MB); label path 1000001 holds its labeling as one
+# byte per vertex and peaks at 21 MB
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)

@@ -184,8 +184,11 @@ def _parity_certificate(n: int, m: int, edges) -> str | None:
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    if any(d % 2 for d in deg):
-        return None
+    return None if any(d % 2 for d in deg) else _parity_reason(m)
+
+
+def _parity_reason(m: int) -> str:
+    """The certificate's reason for a graph with every degree even and m = 2 (mod 4) edges."""
     return (
         f"degree-parity certificate: every degree is even, so every labeling has an "
         f"even number of odd edges, but |E| = {m} = 2 (mod 4) needs {m // 2} of them"

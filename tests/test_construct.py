@@ -5,6 +5,8 @@ import importlib
 import random
 import tracemalloc
 from functools import partial
+from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,10 @@ from perrin_cordial import (
     write_labeling,
 )
 from perrin_cordial.graph_io import dot_lines
+from perrin_cordial.labeling import _parity_certificate
+
+import oracles
+from test_graphs import TRUSTED_GRID
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -499,7 +505,7 @@ def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
             block = [E] * k + [O] * (t - k)
             rnd.shuffle(block)
             pattern += block
-        cut = _construct._class_cut(sizes, cliques, joins, a)
+        cut = oracles._class_cut(sizes, cliques, joins, a)
         assert cut == tally(g, tuple(pattern)).e1, (spec, a)
 
 
@@ -527,20 +533,23 @@ def test_construct_never_calls_generate(monkeypatch):
     assert [construct(spec) for spec in specs] == want
 
 
-def test_class_constructions_never_expand_pairs(monkeypatch):
-    # the gate tallies a class family's pieces, so no (u, v) pair is ever made
+def test_constructions_never_expand_pairs(monkeypatch):
+    # the gate tallies a family's pieces and the certificate flips their degree
+    # parities, so no (u, v) pair is ever made; n = 2 (mod 4) shapes are where the
+    # certificate fires, odd wheels and paths with n = 3 (mod 4) where it is read and silent
     from test_acceptance import c04_grid
 
-    specs = [spec for spec in c04_grid()[::5] if spec.name in _construct.CLASS_FAMILIES]
-    specs += [FamilySpec("star", (n,)) for n in range(1, 40, 3)]
+    specs = c04_grid()[::5] + [FamilySpec("star", (n,)) for n in range(1, 40, 3)]
+    specs += [FamilySpec(f, (n,)) for f in ("cycle", "triangular_snake", "friendship") for n in range(6, 60, 4)]
+    specs += [FamilySpec(f, (n,)) for f in ("wheel", "path") for n in range(3, 60, 4)]
     want = [construct(spec) for spec in specs]
 
     def refuse(spec):
         raise AssertionError(f"the pairs of {spec} expanded")
 
     monkeypatch.setattr(_graphs, "_edge_stream", refuse)
-    monkeypatch.setattr(_construct, "_edge_stream", refuse)
-    assert {spec.name for spec in specs} == _construct.CLASS_FAMILIES
+    monkeypatch.setattr(_construct, "_edge_stream", refuse, raising=False)
+    assert {spec.name for spec in specs} == set(_construct.CONSTRUCTORS)
     assert [construct(spec) for spec in specs] == want
 
 
@@ -603,6 +612,45 @@ def test_class_scan_agrees_with_exhaustive_on_random_quotients(monkeypatch):
         assert isinstance(got, Constructed) == decide_exhaustive(g).feasible, (sizes, joins)
 
 
+@st.composite
+def _quotients(draw):
+    # one or two run classes after 0-4 singles, often tiny, so heads with more evens
+    # than a total come up; joins in either orientation, cliques anywhere, and
+    # preferred heads over the singles
+    singles = draw(st.integers(0, 4))
+    runs = st.lists(st.integers(0, 3) | st.integers(0, 60), min_size=1, max_size=2)
+    sizes = (1,) * singles + tuple(draw(runs))
+    classes = range(len(sizes))
+    cliques = tuple(sorted(draw(st.sets(st.sampled_from(classes)))))
+    pairs = [(i, j) for j in classes for i in range(j)]
+    joins = tuple(
+        (j, i) if draw(st.booleans()) else (i, j)
+        for i, j in pairs if draw(st.booleans())
+    )
+    heads = st.sets(st.integers(0, singles - 1)).map(lambda e: tuple(sorted(e))) if singles else st.just(())
+    preferred = tuple(draw(st.lists(heads, max_size=4)))
+    return sizes, cliques, joins, singles, preferred
+
+
+@given(_quotients())
+@settings(max_examples=400, deadline=None)
+def test_class_scan_is_the_stepping_scan(quotient):
+    # the solved runs against the scan that stepped every count vector, byte for byte
+    sizes, cliques, joins, singles, preferred = quotient
+    bounds = [range(sum(sizes[:i]), sum(sizes[: i + 1])) for i in range(len(sizes))]
+    pieces = [("clique", bounds[i], bounds[i]) for i in cliques] + [("join", bounds[i], bounds[j]) for i, j in joins]
+    m = sum(len(a) * (len(a) - 1) // 2 if kind == "clique" else len(a) * len(b) for kind, a, b in pieces)
+    spec, quotient = FamilySpec("path", (1,)), dict(cliques=cliques, joins=joins, singles=singles, preferred=preferred)
+    with mock.patch.object(_construct, "_pieces", lambda _: (sum(sizes), m, pieces)):
+        got = _construct._class_scan(spec, sizes, **quotient)
+        want = oracles.class_scan_reference(spec, sizes, **quotient)
+    if isinstance(want, Infeasible):
+        assert got == want
+    else:
+        assert isinstance(got, Constructed) and got.tally == want.tally
+        assert got.labeling._odd == want.labeling._odd
+
+
 # ----------------------------------------------------------- block walks
 
 
@@ -660,11 +708,31 @@ def _friendship_key(blocks):
     return blocks[1][0] + blocks[2][0] // 2, blocks[1][0] // 2
 
 
+def _full_snake_walk(n):
+    # every candidate of the snake in walk order, stepping p2 one at a time
+    for s in feasible_even_counts(2 * n + 1):
+        for p2 in range(min(n, (s - 1) // 2) + 1):
+            p1 = s - 2 * p2 - 1
+            if p1 + p2 <= n:
+                blocks = ((n - p2, O, O), (p2 + 1 + p1, E, E), (n - p1 - p2, O, O), (p2, E, E))
+                yield blocks, 0 if p2 == n else 2 + 2 * min(p1, n - p2 - 1)
+
+
+def _full_friendship_walk(n):
+    # every candidate of the friendship graph in walk order, stepping p1 one at a time
+    sizes = feasible_even_counts(2 * n + 1)
+    for s in sizes[::-1] if n % 7 == 0 else sizes:
+        for p1 in range(s // 2 + 1):
+            p2 = s - 2 * p1
+            if p1 + p2 <= n:
+                yield ((1, O, O), (2 * p1, E, E), (2 * p2, E, O), (2 * (n - p1 - p2), O, O)), 2 * (p1 + p2)
+
+
 @pytest.mark.parametrize(
     "walk,key,reference",
     [
-        (_construct._snake_walk, _snake_key, _snake_reference),
-        (_construct._friendship_walk, _friendship_key, _friendship_reference),
+        (_full_snake_walk, _snake_key, _snake_reference),
+        (_full_friendship_walk, _friendship_key, _friendship_reference),
     ],
     ids=["triangular_snake", "friendship"],
 )
@@ -725,6 +793,33 @@ def test_path_walk_hit_is_the_full_walks_first_balanced_key():
     for n in range(1, 3001):
         expected = _first_balanced(_full_path_walk(n), n - 1)
         assert expected is not None and _first_balanced(_construct._path_walk(n), n - 1) == expected, n
+
+
+@pytest.mark.parametrize(
+    "full,solved",
+    [(_full_snake_walk, _construct._snake_walk), (_full_friendship_walk, _construct._friendship_walk)],
+    ids=["triangular_snake", "friendship"],
+)
+def test_solved_walk_hit_is_the_full_walks_first_balanced_key(full, solved):
+    # n = 2 (mod 4) included: neither walk balances them
+    for n in range(1, 3001):
+        expected = _first_balanced(full(n), 3 * n)
+        assert (expected is None) == (n % 4 == 2) and _first_balanced(solved(n), 3 * n) == expected, n
+
+
+# where the certificate fires: every degree even and |E| = 2 (mod 4)
+_CERTIFIED = [FamilySpec(f, (n,)) for f in ("cycle", "triangular_snake", "friendship") for n in range(6, 400, 4)]
+
+
+def test_piece_certificate_is_the_edge_certificate():
+    # every family over TRUSTED_GRID and at its smallest sizes, and where it fires
+    specs = [FamilySpec(f, p) for f, p in TRUSTED_GRID]
+    for family, (names, lo) in _graphs._FAMILIES.items():
+        specs += [FamilySpec(family, p) for p in product(range(lo, lo + 13), repeat=len(names.split()))]
+    for spec in specs + _CERTIFIED:
+        reason = _construct._piece_certificate(*_graphs._pieces(spec))
+        assert reason == _parity_certificate(*_graphs._edge_stream(spec)), spec
+        assert reason is not None or spec not in _CERTIFIED, spec
 
 
 def test_block_constructions_tally_once(monkeypatch):
