@@ -123,7 +123,7 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 def _piece_certificate(n: int, m: int, pieces) -> str | None:
     """labeling._parity_certificate of the graph on n vertices whose m edges graphs._pieces lists.
 
-    A piece adds one degree to each vertex of a slice: |A| - 1 over a clique A,
+    A piece adds the same degree to each vertex of a slice: |A| - 1 over a clique A,
     |B| to A and |A| to B for a join, one per lane to A and one to each lane
     for a zip.  So the degree parities are a few slice flips of one bytearray.
     """
