@@ -24,9 +24,9 @@ cliques, joins and zipped lanes over vertex ranges (_pieces), which the
 constructors' tally gate and degree-parity certificate read; their edge
 stream (_edge_stream) is what gen and label --dot read as it comes and
 generate stores unchecked (_trusted): its edges are sorted and normalized
-by construction, and a test rebuilds them through Graph(...) over a grid.  Every other graph passes
-_checked_edges, which Graph(...) and read_graph share, so each fault raises
-the same FormatError.
+by construction, and a test rebuilds them through Graph(...) over a grid.
+Every other graph passes _checked_edges, which Graph(...) and read_graph
+share, so each fault raises the same FormatError.
 """
 
 from __future__ import annotations
