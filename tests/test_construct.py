@@ -807,19 +807,17 @@ def test_solved_walk_hit_is_the_full_walks_first_balanced_key(full, solved):
         assert (expected is None) == (n % 4 == 2) and _first_balanced(solved(n), 3 * n) == expected, n
 
 
-# where the certificate fires: every degree even and |E| = 2 (mod 4)
-_CERTIFIED = [FamilySpec(f, (n,)) for f in ("cycle", "triangular_snake", "friendship") for n in range(6, 400, 4)]
-
-
 def test_piece_certificate_is_the_edge_certificate():
-    # every family over TRUSTED_GRID and at its smallest sizes, and where it fires
+    # every family over TRUSTED_GRID and at its smallest sizes, and the n = 2 (mod 4)
+    # cycles, snakes and friendships, where every degree is even and it must fire
     specs = [FamilySpec(f, p) for f, p in TRUSTED_GRID]
     for family, (names, lo) in _graphs._FAMILIES.items():
         specs += [FamilySpec(family, p) for p in product(range(lo, lo + 13), repeat=len(names.split()))]
-    for spec in specs + _CERTIFIED:
+    fires = [FamilySpec(f, (n,)) for f in ("cycle", "triangular_snake", "friendship") for n in range(6, 400, 4)]
+    for spec in specs + fires:
         reason = _construct._piece_certificate(*_graphs._pieces(spec))
         assert reason == _parity_certificate(*_graphs._edge_stream(spec)), spec
-        assert reason is not None or spec not in _CERTIFIED, spec
+        assert reason is not None or spec not in fires, spec
 
 
 def test_block_constructions_tally_once(monkeypatch):
