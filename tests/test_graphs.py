@@ -264,17 +264,75 @@ def test_pieces_expand_to_the_generated_edges(family, params):
     assert tuple(expanded) == g.edges == tuple(_edge_stream(spec)[2])
 
 
+def nested_loop_edges(family, params):
+    """(|V|, sorted edges) of a family graph, pair by pair from the numbering in
+    graphs.py's docstring; it reads nothing from the package."""
+    edges = []
+    if family in ("path", "cycle"):
+        (n,) = params
+        count = n
+        edges += [(i, i + 1) for i in range(n - 1)]
+        if family == "cycle":
+            edges.append((0, n - 1))
+    elif family == "complete":
+        (n,) = params
+        count = n
+        edges += [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif family == "complete_bipartite":
+        m, n = params
+        count = m + n
+        edges += [(a, m + b) for a in range(m) for b in range(n)]
+    elif family == "star":
+        (n,) = params
+        count = n + 1
+        edges += [(0, i) for i in range(1, n + 1)]
+    elif family == "wheel":
+        (n,) = params
+        count = n + 1
+        edges += [(0, i) for i in range(1, n + 1)]
+        edges += [(i, i + 1) for i in range(1, n)] + [(1, n)]
+    elif family == "bistar":
+        m, n = params
+        count = m + n + 2
+        edges.append((0, 1))
+        edges += [(0, 2 + i) for i in range(m)] + [(1, m + 2 + i) for i in range(n)]
+    elif family == "triangular_snake":
+        (n,) = params
+        count = 2 * n + 1
+        for i in range(1, n + 1):
+            edges += [(i - 1, i), (i - 1, n + i), (i, n + i)]
+    elif family == "friendship":
+        (n,) = params
+        count = 2 * n + 1
+        for i in range(1, n + 1):
+            edges += [(0, 2 * i - 1), (0, 2 * i), (2 * i - 1, 2 * i)]
+    else:  # jellyfish
+        m1, m2 = params
+        count = m1 + m2 + 4
+        edges += [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        edges += [(2, 4 + i) for i in range(m1)] + [(3, m1 + 4 + i) for i in range(m2)]
+    assert len(set(edges)) == len(edges) and all(0 <= u < v < count for u, v in edges), (family, params)
+    return count, sorted(edges)
+
+
 def test_dense_families_list_edges_as_the_nested_loops_do():
-    # the order labelings depend on: u ascending, then v ascending
-    for n in range(1, 41):
-        assert list(generate(FamilySpec("complete", (n,))).edges) == [
-            (u, v) for u in range(n) for v in range(u + 1, n)
-        ]
-        assert list(generate(FamilySpec("star", (n,))).edges) == [(0, 1 + b) for b in range(n)]
-        for m in range(1, 41):
-            assert list(generate(FamilySpec("complete_bipartite", (m, n))).edges) == [
-                (a, m + b) for a in range(m) for b in range(n)
-            ]
+    # every family, in the order labelings depend on (u ascending, then v ascending), as
+    # generate stores it and its pieces list it: over TRUSTED_GRID, every shape with all
+    # parameters <= 6 (jellyfish(0, 0), (0, m) and (m, 0) among them) and the dense families to 40
+    region = list(TRUSTED_GRID)
+    for family in FAMILY_NAMES:
+        names, lo = _FAMILIES[family]
+        region += [(family, p) for p in product(range(lo, 7), repeat=len(names.split()))]
+    region += [("complete", (n,)) for n in range(7, 41)] + [("star", (n,)) for n in range(7, 41)]
+    region += [("complete_bipartite", mn) for mn in product(range(1, 41), repeat=2) if max(mn) > 6]
+    for family, params in region:
+        spec = FamilySpec(family, params)
+        count, edges = nested_loop_edges(family, params)
+        n, m, pieces = _pieces(spec)
+        assert (n, m) == (count, len(edges)), spec
+        assert [e for piece in pieces for e in _expand(piece)] == edges, spec
+        g = generate(spec)
+        assert (g.vertex_count, list(g.edges)) == (count, edges), spec
 
 
 # roles is a key the format no longer defines: the edge fault is what fails
