@@ -1,9 +1,9 @@
 """Cordial-labeling constructors for the ten graph families.
 
 construct(spec) is the one entry point: it hands the validated FamilySpec
-to the family's entry in CONSTRUCTORS, a block walk or a declared class
-quotient, which reads its sizes from spec.params and validates nothing
-again.  CLASS_FAMILIES, the families of the second kind, is read from it.
+to the family's entry in CONSTRUCTORS, a block walk or a class scan, which
+reads its sizes from spec.params and validates nothing again.
+CLASS_FAMILIES, the families of the second kind, are graphs._QUOTIENTS' keys.
 
 Path, cycle, wheel, snake and friendship constructors walk a
 block-structured parity scheme (_block_scan).  A walk yields each
@@ -16,19 +16,20 @@ path and friendship walks start in the paper's pinned even count.  Shapes
 with n = 2 (mod 4) are proven infeasible by the degree-parity certificate,
 read from the pieces (_piece_certificate) with labeling's reason.
 
-Complete, complete bipartite, star, bistar and jellyfish graphs declare a
-class quotient instead: classes of vertices with the same neighbours
-outside the class, each a clique or edgeless, and the fully joined class
-pairs.  Vertices within a class are exchangeable, so one scan over the
-even count of each class decides them (_class_scan).  It tries the
-parities of the leading single-vertex classes (preferred choices, then
-binary counting), then each admissible even total ascending, then each
-split of the remaining evens, lower classes filled first.  Per head, the
-imbalance along that run is a polynomial whose coefficients _heads reads
-from the quotient's structure; a linear run jumps to where it crosses
-[-1, 1], and a quadratic one steps.  It covers every count vector, so its
-Infeasible is a proof; a formula hit that fails the tally gate means the
-quotient is wrong and raises SchemeExhaustedError.
+Complete, complete bipartite, star, bistar and jellyfish graphs are read
+from their class quotient instead, the graphs._QUOTIENTS entry their pieces
+are built from: classes of vertices with the same neighbours outside the
+class, each a clique or edgeless, and the fully joined class pairs.
+Vertices within a class are exchangeable, so one scan over the even count
+of each class decides them (_class_scan).  It tries the parities of the
+leading single-vertex classes (preferred choices, then binary counting),
+then each admissible even total ascending, then each split of the
+remaining evens, lower classes filled first.  Per head, the imbalance
+along that run is a polynomial whose coefficients _heads reads from the
+quotient's structure; a linear run jumps to where it crosses [-1, 1], and
+a quadratic one steps.  It covers every count vector, so its Infeasible is
+a proof; a formula hit that fails the tally gate means the quotient or the
+scan's arithmetic is wrong and raises SchemeExhaustedError.
 
 Scans are deterministic, so constructions reproduce byte-for-byte; both
 even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .graphs import FamilySpec, _pieces
+from .graphs import _QUOTIENTS, FamilySpec, _pieces
 from .labeling import EdgeTally, PerrinLabeling, _parity_reason, _realize, feasible_even_counts, is_cordial
 from .perrin import Parity
 
@@ -301,8 +302,8 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
             for j in range(j0, j1):
                 if -1 <= e <= 1:
                     a = (*head, x - j, y + j)
-                    blocks = [b for t, k in zip(sizes, a) for b in ((k, E, E), (t - k, O, O))]
-                    return _gate(spec, _blocks_pattern(blocks), *_pieces(spec))
+                    odd = b"".join([b"\0" * k + b"\1" * (t - k) for t, k in zip(sizes, a)])
+                    return _gate(spec, odd, *_pieces(spec))
                 if below < e < 0:
                     below = e
                 elif 0 < e < above:
@@ -317,9 +318,9 @@ def _class_scan(spec: FamilySpec, sizes, cliques=(), joins=(), singles=0, prefer
     )
 
 
-def _class_family(spec: FamilySpec, singles=0, **quotient) -> Constructed | Infeasible:
-    # `singles` single-vertex classes, then one class per parameter
-    return _class_scan(spec, (1,) * singles + spec.params, singles=singles, **quotient)
+def _class_family(spec: FamilySpec, preferred=()) -> Constructed | Infeasible:
+    singles, cliques, joins = _QUOTIENTS[spec.name]
+    return _class_scan(spec, (1,) * singles + spec.params, cliques, joins, singles, preferred)
 
 
 # each family's constructor, a function of its validated FamilySpec
@@ -328,35 +329,24 @@ CONSTRUCTORS = {
     "path": partial(_block_scan, walk=_path_walk),
     # Infeasible when n = 2 (mod 4)
     "cycle": partial(_block_scan, walk=_ring_walk),
-    # K_n: one clique class, so only the even count matters
-    "complete": partial(_class_family, cliques=(0,)),
-    # K_{m,n}: two joined sides, imbalance (m - 2*p1)(n - 2*p2)
-    "complete_bipartite": partial(_class_family, joins=((0, 1),)),
-    # numbered as K_{1,n}: the apex, a single class, joined to one leaf class
-    "star": partial(_class_family, joins=((0, 1),), singles=1),
     # always succeeds
     "wheel": partial(_block_scan, walk=partial(_ring_walk, spokes=True)),
-    # both apexes odd (imbalance m+n+1 - 2*(p1+p2)) come first; a few sizes
-    # (m+n = 3 is the smallest) need other apex parities
-    "bistar": partial(_class_family, joins=((0, 1), (0, 2), (1, 3)), singles=2),
     # Infeasible when n = 2 (mod 4)
     "triangular_snake": partial(_block_scan, walk=_snake_walk),
     # Infeasible when n = 2 (mod 4)
     "friendship": partial(_block_scan, walk=_friendship_walk),
+    # the class scan over the graphs._QUOTIENTS entry; bistar's first head has both apexes
+    # odd (imbalance m+n+1 - 2*(p1+p2)), and a few sizes (m+n = 3 first) need others
+    **dict.fromkeys(_QUOTIENTS, _class_family),
     # Infeasible exactly when m2 - 13*m1 is in {39, 45, 46, 47, 49} or is at
     # least 51, for m1 <= m2 (measured for m1 <= 40); the smallest is (0, 39).
     # The pinned internal parities come first: v1,v3 even, its mirror v2,v4,
     # then one even internal
-    "jellyfish": partial(
-        _class_family,
-        joins=((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5)),
-        singles=4,
-        preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,)),
-    ),
+    "jellyfish": partial(_class_family, preferred=((0, 2), (1, 3), (0,), (1,), (2,), (3,))),
 }
 
-# the families whose constructor is a declared class quotient
-CLASS_FAMILIES = frozenset(f for f, c in CONSTRUCTORS.items() if c.func is _class_family)
+# the families whose constructor is a class scan
+CLASS_FAMILIES = frozenset(_QUOTIENTS)
 
 
 def construct(spec: FamilySpec) -> Constructed | Infeasible:

@@ -21,12 +21,13 @@ byte-for-byte:
 A graph is its vertex count, its edges and an optional family: a labeling
 is defined from V(G) and E(G) alone.  Each family lists its edges as a few
 cliques, joins and zipped lanes over vertex ranges (_pieces), which the
-constructors' tally gate and degree-parity certificate read; their edge
-stream (_edge_stream) is what gen and label --dot read as it comes and
-generate stores unchecked (_trusted): its edges are sorted and normalized
-by construction, and a test rebuilds them through Graph(...) over a grid.
-Every other graph passes _checked_edges, which Graph(...) and read_graph
-share, so each fault raises the same FormatError.
+constructors' tally gate and degree-parity certificate read; a class
+family's come from the class quotient (_QUOTIENTS) that the class scan
+reads.  Their edge stream (_edge_stream) is what gen and label --dot read
+as it comes and generate stores unchecked (_trusted): its edges are sorted
+and normalized by construction, and a test rebuilds them through
+Graph(...) over a grid.  Every other graph passes _checked_edges, which
+Graph(...) and read_graph share, so each fault raises the same FormatError.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ _FAMILIES = {
 _EDGES_MAX = 5_000_000
 
 FAMILY_NAMES = tuple(_FAMILIES)
+
+# each class family's quotient (singles, cliques, joins): `singles` single vertices, then one
+# class per parameter, in vertex-id order; its joins are listed in the order that sorts the edges
+_QUOTIENTS = {
+    "complete": (0, (0,), ()),
+    "complete_bipartite": (0, (), ((0, 1),)),
+    "star": (1, (), ((0, 1),)),
+    "bistar": (2, (), ((0, 1), (0, 2), (1, 3))),
+    "jellyfish": (4, (), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5))),
+}
 
 # largest vertex_count a graph may have; the checker allocates nothing per
 # vertex, but decide_parity's degree list, is_valid's vertex set and
@@ -172,37 +183,36 @@ def _pieces(spec: FamilySpec):
 
     A piece is ("clique", A, A), ("join", A, B) or ("zip", A, lanes) over
     vertex ranges: the pairs of A, A x B, or a_i's edge to the i-th vertex of
-    each lane in turn.  Listed in order, the pieces' edges are (u, v) with
-    u < v, distinct and in sorted order.  A graph with more than _EDGES_MAX
+    each lane in turn: a class family's clique classes, then its joined
+    pairs.  Listed in order, the pieces' edges are (u, v) with u < v,
+    distinct and in sorted order.  A graph with more than _EDGES_MAX
     edges raises FamilyParameterError before any edge is made.
     """
     name, params, r = spec.name, spec.params, range
-    # a lone parameter is n, so star is K_{1,n}; jellyfish's m1, m2 are m, n
-    m, n = params if len(params) == 2 else (1, *params)
-    if name == "path":
+    n = params[0]
+    if name in _QUOTIENTS:
+        singles, cliques, joins = _QUOTIENTS[name]
+        # class i owns the next ids in turn: `singles` ranges of one, then one per parameter
+        c, count = [r(i, i + 1) for i in range(singles)], singles
+        for t in params:
+            c.append(r(count, count + t))
+            count += t
+        pieces = (*[("clique", c[i], c[i]) for i in cliques], *[("join", c[i], c[j]) for i, j in joins])
+    elif name == "path":
         count, pieces = n, (("zip", r(n - 1), (r(1, n),)),)
     elif name == "cycle":
         count, pieces = n, (("zip", r(1), (r(1, 2), r(n - 1, n))), ("zip", r(1, n - 1), (r(2, n),)))
-    elif name == "complete":
-        count, pieces = n, (("clique", r(n), r(n)),)
-    elif name in ("complete_bipartite", "star"):
-        count, pieces = m + n, (("join", r(m), r(m, m + n)),)
     elif name == "wheel":
         rim = ("zip", r(1, 2), (r(2, 3), r(n, n + 1))), ("zip", r(2, n), (r(3, n + 1),))
         count, pieces = n + 1, (("join", r(1), r(1, n + 1)), *rim)
-    elif name == "bistar":
-        count, pieces = m + n + 2, (("join", r(1), r(1, m + 2)), ("join", r(1, 2), r(m + 2, m + n + 2)))
     elif name == "triangular_snake":
         # path vertex i < n is followed by its path edge, then its two tips
         inner = ("zip", r(1, n), (r(2, n + 1), r(n + 1, 2 * n), r(n + 2, 2 * n + 1)))
         pieces = ("zip", r(1), (r(1, 2), r(n + 1, n + 2))), inner, ("zip", r(n, n + 1), (r(2 * n, 2 * n + 1),))
         count = 2 * n + 1
-    elif name == "friendship":
+    else:  # friendship
         blades = ("zip", r(1, 2 * n, 2), (r(2, 2 * n + 1, 2),))
         count, pieces = 2 * n + 1, (("join", r(1), r(1, 2 * n + 1)), blades)
-    else:  # jellyfish
-        pendants = ("join", r(2, 3), r(4, m + 4)), ("join", r(3, 4), r(m + 4, m + n + 4))
-        count, pieces = m + n + 4, (("join", r(1), r(1, 4)), ("join", r(1, 2), r(2, 4)), *pendants)
     size = sum([len(a) * (len(a) - 1) // 2 if kind == "clique" else len(a) * len(b) for kind, a, b in pieces])
     if size > _EDGES_MAX:
         raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")

@@ -36,7 +36,7 @@ from perrin_cordial.graph_io import dot_lines
 from perrin_cordial.labeling import _parity_certificate
 
 import oracles
-from test_graphs import TRUSTED_GRID
+from test_graphs import TRUSTED_GRID, nested_loop_edges
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -481,22 +481,17 @@ def _blow_up(sizes, cliques, joins):
     ],
     ids=lambda v: f"construct_{v}" if isinstance(v, str) else None,
 )
-def test_declared_class_quotient_matches_edges(family, params, monkeypatch):
-    scan, seen = _construct._class_scan, []
-
-    def recording(spec, sizes, cliques=(), joins=(), **rest):
-        seen.append((spec, sizes, cliques, joins))
-        return scan(spec, sizes, cliques=cliques, joins=joins, **rest)
-
-    monkeypatch.setattr(_construct, "_class_scan", recording)
-    construct(FamilySpec(family, params))
-    ((spec, sizes, cliques, joins),) = seen
-    g = generate(spec)
-    assert sum(sizes) == g.vertex_count
+def test_declared_class_quotient_matches_edges(family, params):
+    spec = FamilySpec(family, params)
+    singles, cliques, joins = _graphs._QUOTIENTS[family]
+    sizes = (1,) * singles + params
+    count, edges = nested_loop_edges(family, params)
+    assert sum(sizes) == count
     # the edges are exactly the declared quotient blown up, so every class
     # is a module: one neighbourhood outside it, all or no pairs inside it
-    assert g.edges == _blow_up(sizes, cliques, joins).edges, spec
+    assert list(_blow_up(sizes, cliques, joins).edges) == edges, spec
     # the cut formula counts the odd edges wherever the evens sit in a class
+    g = Graph(count, tuple(edges))
     rnd = random.Random(repr(spec))
     for _ in range(50):
         a = tuple(rnd.randint(0, t) for t in sizes)
