@@ -183,16 +183,15 @@ def _pieces(spec: FamilySpec):
 
     A piece is ("clique", A, A), ("join", A, B) or ("zip", A, lanes) over
     vertex ranges: the pairs of A, A x B, or a_i's edge to the i-th vertex of
-    each lane in turn: a class family's clique classes, then its joined
-    pairs.  Listed in order, the pieces' edges are (u, v) with u < v,
-    distinct and in sorted order.  A graph with more than _EDGES_MAX
+    each lane in turn.  A class family has one per clique class, then one
+    per joined pair.  Listed in order, the pieces' edges are (u, v) with
+    u < v, distinct and in sorted order.  A graph with more than _EDGES_MAX
     edges raises FamilyParameterError before any edge is made.
     """
     name, params, r = spec.name, spec.params, range
     n = params[0]
     if name in _QUOTIENTS:
         singles, cliques, joins = _QUOTIENTS[name]
-        # class i owns the next ids in turn: `singles` ranges of one, then one per parameter
         c, count = [r(i, i + 1) for i in range(singles)], singles
         for t in params:
             c.append(r(count, count + t))
