@@ -14,7 +14,7 @@ Each cut is monotone in the walk's inner index, so a walk solves for the one
 or two candidates per even total where it crosses |E| / 2.  For n = 7p the
 path and friendship walks start in the paper's pinned even count.  Shapes
 with n = 2 (mod 4) are proven infeasible by the degree-parity certificate,
-read from the pieces (_piece_certificate) with labeling's reason.
+read from the pieces (graphs._degree_parity) with labeling's reason.
 
 Complete, complete bipartite, star, bistar and jellyfish graphs are read
 from their class quotient instead, the graphs._QUOTIENTS entry their pieces
@@ -34,8 +34,9 @@ scan's arithmetic is wrong and raises SchemeExhaustedError.
 Scans are deterministic, so constructions reproduce byte-for-byte; both
 even-vertex budgets, even_count(|V|) - 1 and even_count(|V|), are tried.
 No constructor stores or streams its graph: the tally gate counts the hit's
-pattern, one byte per vertex, and the certificate flips degree parities,
-both in slices over the family's pieces (graphs._pieces), not edge by edge.
+odd edges (graphs._cut) from its pattern, one byte per vertex, and the
+certificate flips degree parities (graphs._degree_parity), both in slices
+over the family's pieces (graphs._pieces), not edge by edge.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 
-from .graphs import _QUOTIENTS, FamilySpec, _pieces
+from .graphs import _QUOTIENTS, FamilySpec, _cut, _degree_parity, _pieces
 from .labeling import EdgeTally, PerrinLabeling, _parity_reason, _realize, feasible_even_counts, is_cordial
 from .perrin import Parity
 
@@ -76,29 +77,11 @@ def _gate(spec: FamilySpec, odd: bytes, n: int, m: int, pieces) -> Constructed:
     n, m and pieces are graphs._pieces(spec).  Hits come from exact counts, so a failing
     tally means the count (a block cut or a declared class quotient) is wrong.
     """
-    t = _tally_pieces(m, pieces, odd)
+    e1 = _cut(pieces, odd)
+    t = EdgeTally(e0=m - e1, e1=e1)
     if not is_cordial(t):
         raise SchemeExhaustedError(f"{_name(spec)}: the scheme's hit fails the tally gate")
     return Constructed(labeling=_realize(n, odd), tally=t)
-
-
-def _tally_pieces(m: int, pieces, odd: bytes) -> EdgeTally:
-    """The tally of the m edges that graphs._pieces lists, from slices of odd: a clique
-    or join cuts by its sides' odd counts, a zip lane where its two slices differ."""
-    e1 = 0
-    for kind, a, b in pieces:
-        side = odd[a.start : a.stop : a.step]
-        if kind == "zip":
-            x = int.from_bytes(side, "big")
-            for lane in b:
-                e1 += (x ^ int.from_bytes(odd[lane.start : lane.stop : lane.step], "big")).bit_count()
-        elif kind == "join":
-            k, kb = side.count(1), odd[b.start : b.stop : b.step].count(1)
-            e1 += k * (len(b) - kb) + (len(a) - k) * kb
-        else:
-            k = side.count(1)
-            e1 += k * (len(a) - k)
-    return EdgeTally(e0=m - e1, e1=e1)
 
 
 def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
@@ -109,57 +92,12 @@ def _block_scan(spec: FamilySpec, walk) -> Constructed | Infeasible:
     """
     (n,) = spec.params
     count, m, pieces = _pieces(spec)
-    reason = _piece_certificate(count, m, pieces)
-    if reason is not None:
-        return Infeasible(reason)
+    if m % 4 == 2 and 1 not in _degree_parity(count, pieces):
+        return Infeasible(_parity_reason(m))
     for blocks, cut in walk(n):
         if -1 <= m - 2 * cut <= 1:
             return _gate(spec, _blocks_pattern(blocks), count, m, pieces)
     raise SchemeExhaustedError(f"{_name(spec)}: no scheme candidate balances the edges")
-
-
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
-def _piece_certificate(n: int, m: int, pieces) -> str | None:
-    """labeling._parity_certificate of the graph on n vertices whose m edges graphs._pieces lists.
-
-    A piece adds the same degree to each vertex of a slice: |A| - 1 over a clique A,
-    |B| to A and |A| to B for a join, one per lane to A and one to each lane
-    for a zip.  So the degree parities are a few slice flips of one bytearray.
-    """
-    if m % 4 != 2:
-        return None
-    parity = bytearray(n)
-    for kind, a, b in pieces:
-        if kind == "clique":
-            flips = ((a, len(a) - 1),)
-        elif kind == "join":
-            flips = ((a, len(b)), (b, len(a)))
-        else:
-            flips = ((a, len(b)), *((lane, 1) for lane in b))
-        for r, k in flips:
-            if k % 2:
-                side = slice(r.start, r.stop, r.step)
-                parity[side] = parity[side].translate(_FLIP)
-    return None if 1 in parity else _parity_reason(m)
-
-
-def _line_cut(blocks) -> int:
-    """Odd edges along a line of blocks (size, first, last parity).
-
-    A block is constant (first is last) or strictly alternating, which
-    changes parity size - 1 times inside.
-    """
-    cut, prev = 0, None
-    for size, first, last in blocks:
-        if size:
-            if first is not last:
-                cut += size - 1
-            if prev is not None and prev is not first:
-                cut += 1
-            prev = last
-    return cut
 
 
 def _blocks_pattern(blocks) -> bytes:
@@ -175,7 +113,8 @@ def _blocks_pattern(blocks) -> bytes:
 
 def _path_walk(n: int):
     """Blocks O^q1 E^p1 (OE)^p2 O^q2 with s = p1 + p2 evens.  The cut, 2 p2 + 1 + q1 while E^p1 and O^q2
-    are non-empty, grows with p2: each (s, q1) yields the least such p2 reaching (n - 2) / 2, then the end."""
+    are non-empty, grows with p2: each (s, q1) yields the least such p2 reaching (n - 2) / 2, then the end.
+    With E^p1 or O^q2 empty, only the boundaries of the non-empty blocks that remain cut."""
     # the paper's n = 7p choice opens with an odd vertex: try q1 = 1 first
     q1s = (1, 0) if n % 7 == 0 else (0, 1)
     for s in feasible_even_counts(n):
@@ -183,8 +122,9 @@ def _path_walk(n: int):
         for q1 in q1s:
             end, lo = min(s, odds - q1), max(0, -((1 + q1 - (n - 1) // 2) // 2))
             for p2 in (lo, end) if lo < end else (end,) * (end >= 0):
-                blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (odds - q1 - p2, O, O))
-                yield blocks, _line_cut(blocks)
+                p1, q2 = s - p2, odds - q1 - p2
+                cut = 2 * p2 + 1 + q1 if p1 and q2 else q1 * (p1 > 0) + (p2 > 0) * (2 * p2 - 1 + (p1 > 0) + (q2 > 0))
+                yield ((q1, O, O), (p1, E, E), (2 * p2, O, E), (q2, O, O)), cut
 
 
 # ------------------------------------------------------- cycles and wheels

@@ -20,14 +20,16 @@ byte-for-byte:
 
 A graph is its vertex count, its edges and an optional family: a labeling
 is defined from V(G) and E(G) alone.  Each family lists its edges as a few
-cliques, joins and zipped lanes over vertex ranges (_pieces), which the
-constructors' tally gate and degree-parity certificate read; a class
+cliques, joins and zipped lanes over vertex ranges (_pieces); a class
 family's come from the class quotient (_QUOTIENTS) that the class scan
-reads.  Their edge stream (_edge_stream) is what gen and label --dot read
-as it comes and generate stores unchecked (_trusted): its edges are sorted
-and normalized by construction, and a test rebuilds them through
-Graph(...) over a grid.  Every other graph passes _checked_edges, which
-Graph(...) and read_graph share, so each fault raises the same FormatError.
+reads.  Only this module reads that form: a pattern's odd edges (_cut, the
+constructors' tally gate) and the degree parities (_degree_parity, their
+certificate) are a few slice counts and flips per piece.  The pieces' edge
+stream (_edge_stream) is what gen and label --dot read as it comes and
+generate stores unchecked (_trusted): its edges are sorted and normalized
+by construction, and a test rebuilds them through Graph(...) over a grid.
+Every other graph passes _checked_edges, which Graph(...) and read_graph
+share, so each fault raises the same FormatError.
 """
 
 from __future__ import annotations
@@ -216,6 +218,50 @@ def _pieces(spec: FamilySpec):
     if size > _EDGES_MAX:
         raise FamilyParameterError(f"{name}{params} has {size:,} edges, over the {_EDGES_MAX:,} limit")
     return count, size, pieces
+
+
+def _cut(pieces, odd: bytes) -> int:
+    """The number of odd edges that _pieces lists, from slices of odd (1 where odd): a clique
+    or join cuts by its sides' odd counts, a zip lane where its two slices differ."""
+    e1 = 0
+    for kind, a, b in pieces:
+        side = odd[a.start : a.stop : a.step]
+        if kind == "zip":
+            x = int.from_bytes(side, "big")
+            for lane in b:
+                e1 += (x ^ int.from_bytes(odd[lane.start : lane.stop : lane.step], "big")).bit_count()
+        elif kind == "join":
+            k, kb = side.count(1), odd[b.start : b.stop : b.step].count(1)
+            e1 += k * (len(b) - kb) + (len(a) - k) * kb
+        else:
+            k = side.count(1)
+            e1 += k * (len(a) - k)
+    return e1
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _degree_parity(n: int, pieces) -> bytearray:
+    """The degree parities (1 where odd) of the graph on n vertices whose edges _pieces lists.
+
+    A piece adds the same degree to each vertex of a slice: |A| - 1 over a clique A,
+    |B| to A and |A| to B for a join, one per lane to A and one to each lane
+    for a zip.  So the degree parities are a few slice flips of one bytearray.
+    """
+    parity = bytearray(n)
+    for kind, a, b in pieces:
+        if kind == "clique":
+            flips = ((a, len(a) - 1),)
+        elif kind == "join":
+            flips = ((a, len(b)), (b, len(a)))
+        else:
+            flips = ((a, len(b)), *((lane, 1) for lane in b))
+        for r, k in flips:
+            if k % 2:
+                side = slice(r.start, r.stop, r.step)
+                parity[side] = parity[side].translate(_FLIP)
+    return parity
 
 
 def _edge_stream(spec: FamilySpec):

@@ -8,13 +8,14 @@ example indices 0 and 2, both 0) may appear together.
 An edge picks up label 0 when its endpoints have equal parity and 1
 otherwise; only the per-vertex parity pattern matters to the tally.
 
-The degree-parity certificate (_parity_certificate) proves infeasibility
-without search: a pattern with even-vertex set S has cut(S) odd edges, and
-cut(S) is congruent to the number of odd-degree vertices in S (mod 2).  So
-when every degree is even each cut is even, while |E| = 2 (mod 4) needs the
-odd cut |E|/2.  It reads degrees from the edges only, in O(|V| + |E|).
-The constructors and oracle.decide_parity share it, so constructing never
-loads the exhaustive search.
+The degree-parity certificate proves infeasibility without search: a
+pattern with even-vertex set S has cut(S) odd edges, and cut(S) is
+congruent to the number of odd-degree vertices in S (mod 2).  So when every
+degree is even each cut is even, while |E| = 2 (mod 4) needs the odd cut
+|E|/2.  oracle.decide_parity reads the degrees from the edges and the block
+constructors from the family's pieces (graphs._degree_parity); both give
+its one reason (_parity_reason), so constructing never loads the
+exhaustive search.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .perrin import _EVEN_OFFSETS, _ODD_OFFSETS, Parity, even_count, perrin_parity
+from .perrin import _EVEN_OFFSETS, _ODD_OFFSETS, Parity, _ranked, even_count, perrin_parity
 
 ParityPattern = tuple[Parity, ...]
 
@@ -138,12 +139,6 @@ def _realize(n: int, odd: bytes) -> PerrinLabeling:
     return f
 
 
-def _ranked(offsets, a: int, b: int) -> list[int]:
-    """The indices 7 * (r // k) + offsets[r % k] of the ranks a <= r < b, k = len(offsets)."""
-    k, q = len(offsets), a // len(offsets)
-    return [p + o for p in range(7 * q, 7 * -(-b // k), 7) for o in offsets][a - k * q : b - k * q]
-
-
 def _index_chunk(odd: bytes, v: int, odds: int) -> dict[int, int]:
     """realize's {u: index} for u = v, v + 1, ... from odd, after `odds` odd vertices; even rank 0 is index 0."""
     k, evens = odd.count(1), v - odds
@@ -173,18 +168,6 @@ def feasible_even_counts(vertex_count: int) -> tuple[int, ...]:
     """
     e = even_count(vertex_count)
     return tuple(s for s in (e - 1, e) if 0 <= s <= vertex_count)
-
-
-def _parity_certificate(n: int, m: int, edges) -> str | None:
-    """The certificate's reason when every degree is even and m = 2 (mod 4), else None,
-    for the graph on n vertices whose m edges an iterable yields, read once."""
-    if m % 4 != 2:
-        return None
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return None if any(d % 2 for d in deg) else _parity_reason(m)
 
 
 def _parity_reason(m: int) -> str:

@@ -19,8 +19,8 @@ every k1-set for a k2 witness).  In-process, proving cycle(22) infeasible
 decide_exhaustive stays an independent check on the degree-parity
 certificate and on the constructors; CLI decide runs it after the certificate.
 
-decide_parity returns the degree-parity certificate
-(labeling._parity_certificate) as an infeasible Verdict with searched=0.
+decide_parity counts degrees from the edges and returns the degree-parity
+certificate (labeling._parity_reason) as an infeasible Verdict, searched=0.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import comb
 from types import SimpleNamespace
 
 from .graphs import Graph
-from .labeling import PerrinLabeling, _parity_certificate, _realize, feasible_even_counts
+from .labeling import PerrinLabeling, _parity_reason, _realize, feasible_even_counts
 
 
 class GraphTooLargeError(ValueError):
@@ -185,9 +185,15 @@ def _rank(n: int, subset: tuple[int, ...]) -> int:
 
 
 def decide_parity(g: Graph) -> Verdict | None:
-    """Infeasible when every degree is even and |E| = 2 (mod 4), else None."""
-    reason = _parity_certificate(g.vertex_count, g.edge_count, g.edges)
-    return None if reason is None else Verdict(feasible=False, searched=0, reason=reason)
+    """Infeasible when every degree, counted from the edges, is even and |E| = 2 (mod 4), else None."""
+    m = g.edge_count
+    if m % 4 != 2:
+        return None
+    deg = [0] * g.vertex_count
+    for u, v in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return None if any(d % 2 for d in deg) else Verdict(feasible=False, searched=0, reason=_parity_reason(m))
 
 
 def decide_exhaustive(g: Graph, cfg: SearchConfig = SearchConfig()) -> Verdict:

@@ -33,6 +33,13 @@ _EVENS_UPTO = tuple(sum(o <= r for o in _EVEN_OFFSETS) for r in range(7))
 _VALUES = list(_SEEDS)
 
 
+def _ranked(offsets, a: int, b: int) -> list[int]:
+    """The indices 7 * (r // k) + offsets[r % k] of the ranks a <= r < b, k = len(offsets): the
+    odd indices of rank r, or the even indices of rank r + 1 (even rank 0 is index 0)."""
+    k, q = len(offsets), a // len(offsets)
+    return [p + o for p in range(7 * q, 7 * -(-b // k), 7) for o in offsets][a - k * q : b - k * q]
+
+
 def _check_index(i: int, what: str = "sequence index") -> None:
     if i < 0:
         raise ValueError(f"{what} must be >= 0, got {i}")
@@ -62,11 +69,9 @@ def even_count(n: int) -> int:
 
 def even_indices(n: int) -> list[int]:
     """Ascending list of indices i <= n whose term is even."""
-    _check_index(n, "count bound")
-    return [0] + [b + r for b in range(0, n, 7) for r in _EVEN_OFFSETS if b + r <= n]
+    return [0] + _ranked(_EVEN_OFFSETS, 0, even_count(n) - 1)
 
 
 def odd_indices(n: int) -> list[int]:
     """Ascending list of indices i <= n whose term is odd."""
-    _check_index(n, "count bound")
-    return [b + r for b in range(0, n, 7) for r in _ODD_OFFSETS if b + r <= n]
+    return _ranked(_ODD_OFFSETS, 0, n + 1 - even_count(n))

@@ -76,6 +76,23 @@ def search_size_reference(n, k, adj, deg, edge_total):
     return hit, examined
 
 
+def line_cut(blocks) -> int:
+    """Odd edges along a line of blocks (size, first, last parity).
+
+    A block is constant (first is last) or strictly alternating, which
+    changes parity size - 1 times inside.
+    """
+    cut, prev = 0, None
+    for size, first, last in blocks:
+        if size:
+            if first is not last:
+                cut += size - 1
+            if prev is not None and prev is not first:
+                cut += 1
+            prev = last
+    return cut
+
+
 def _class_cut(sizes, cliques, joins, a) -> int:
     """Odd edges when class i holds a[i] evens: clique classes and joined pairs."""
     cut = sum([a[i] * (sizes[i] - a[i]) for i in cliques])

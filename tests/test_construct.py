@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from perrin_cordial import (
     Constructed,
+    EdgeTally,
     FamilyParameterError,
     FamilySpec,
     Graph,
@@ -23,6 +24,7 @@ from perrin_cordial import (
     SchemeExhaustedError,
     construct,
     decide_exhaustive,
+    decide_parity,
     even_count,
     feasible_even_counts,
     generate,
@@ -33,7 +35,7 @@ from perrin_cordial import (
     write_labeling,
 )
 from perrin_cordial.graph_io import dot_lines
-from perrin_cordial.labeling import _parity_certificate
+from perrin_cordial.labeling import _parity_reason
 
 import oracles
 from test_graphs import TRUSTED_GRID, nested_loop_edges
@@ -564,8 +566,8 @@ def _spec_and_pattern(draw):
 def test_piece_tally_is_the_edge_tally(spec_pattern):
     spec, pattern = spec_pattern
     _, m, pieces = _graphs._pieces(spec)
-    got = _construct._tally_pieces(m, pieces, _odd_bytes(pattern))
-    assert got == tally(generate(spec), pattern), spec
+    e1 = _graphs._cut(pieces, _odd_bytes(pattern))
+    assert EdgeTally(e0=m - e1, e1=e1) == tally(generate(spec), pattern), spec
 
 
 @pytest.mark.parametrize("family_less", [False, True])
@@ -753,12 +755,12 @@ def test_block_walk_cut_is_the_real_tally(family):
 
 def _full_ring_walk(n, spokes):
     # every candidate of the ring in walk order, after the hub block; its cut
-    # from _line_cut with the first rim vertex repeated at the end to close the ring
+    # from line_cut with the first rim vertex repeated at the end to close the ring
     for s in feasible_even_counts(n + spokes):
         for p2 in range(min(s, n - s) + 1):
             head = E if s > p2 else O
             rim = ((s - p2, E, E), (2 * p2, O, E), (n - s - p2, O, O))
-            cut = _construct._line_cut((*rim, (1, head, head))) + s * spokes
+            cut = oracles.line_cut((*rim, (1, head, head))) + s * spokes
             yield ((int(spokes), O, O), *rim), cut
 
 
@@ -781,7 +783,7 @@ def _full_path_walk(n):
         for q1 in (1, 0) if n % 7 == 0 else (0, 1):
             for p2 in range(min(s, n - s - q1) + 1):
                 blocks = ((q1, O, O), (s - p2, E, E), (2 * p2, O, E), (n - s - q1 - p2, O, O))
-                yield blocks, _construct._line_cut(blocks)
+                yield blocks, oracles.line_cut(blocks)
 
 
 def test_path_walk_hit_is_the_full_walks_first_balanced_key():
@@ -810,19 +812,21 @@ def test_piece_certificate_is_the_edge_certificate():
         specs += [FamilySpec(family, p) for p in product(range(lo, lo + 13), repeat=len(names.split()))]
     fires = [FamilySpec(f, (n,)) for f in ("cycle", "triangular_snake", "friendship") for n in range(6, 400, 4)]
     for spec in specs + fires:
-        reason = _construct._piece_certificate(*_graphs._pieces(spec))
-        assert reason == _parity_certificate(*_graphs._edge_stream(spec)), spec
+        n, m, pieces = _graphs._pieces(spec)
+        reason = _parity_reason(m) if m % 4 == 2 and 1 not in _graphs._degree_parity(n, pieces) else None
+        verdict = decide_parity(generate(spec))
+        assert reason == (verdict and verdict.reason), spec
         assert reason is not None or spec not in fires, spec
 
 
 def test_block_constructions_tally_once(monkeypatch):
-    real, calls = _construct._tally_pieces, []
+    real, calls = _construct._cut, []
 
-    def counting(m, pieces, odd):
+    def counting(pieces, odd):
         calls.append(len(odd))
-        return real(m, pieces, odd)
+        return real(pieces, odd)
 
-    monkeypatch.setattr(_construct, "_tally_pieces", counting)
+    monkeypatch.setattr(_construct, "_cut", counting)
     cases = [("path", n) for n in range(1, 201)]
     cases += [("cycle", n) for n in range(3, 201) if n % 4 != 2]
     cases += [("wheel", n) for n in range(3, 201)]
