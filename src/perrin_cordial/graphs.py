@@ -71,6 +71,22 @@ _QUOTIENTS = {
     "jellyfish": (4, (), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5))),
 }
 
+
+def _join_runs(singles: int, joins) -> tuple:
+    """The joins as (i, j, k), class i joined to classes j..k-1: a single vertex's joins to
+    consecutive classes are one run, whose product lists the same edges in the same order."""
+    runs = []
+    for i, j in joins:
+        if runs and runs[-1][0] == i < singles and runs[-1][2] == j:
+            runs[-1][2] = j + 1
+        else:
+            runs.append([i, j, j + 1])
+    return tuple(map(tuple, runs))
+
+
+# each class family's join pieces: jellyfish's seven joins are four runs, bistar's three are two
+_JOIN_RUNS = {name: _join_runs(singles, joins) for name, (singles, _, joins) in _QUOTIENTS.items()}
+
 # largest vertex_count a graph may have; the checker allocates nothing per
 # vertex, but decide_parity's degree list, is_valid's vertex set and
 # dot_lines' parity pattern do
@@ -186,19 +202,19 @@ def _pieces(spec: FamilySpec):
     A piece is ("clique", A, A), ("join", A, B) or ("zip", A, lanes) over
     vertex ranges: the pairs of A, A x B, or a_i's edge to the i-th vertex of
     each lane in turn.  A class family has one per clique class, then one
-    per joined pair.  Listed in order, the pieces' edges are (u, v) with
+    per run of _JOIN_RUNS.  Listed in order, the pieces' edges are (u, v) with
     u < v, distinct and in sorted order.  A graph with more than _EDGES_MAX
     edges raises FamilyParameterError before any edge is made.
     """
     name, params, r = spec.name, spec.params, range
     n = params[0]
     if name in _QUOTIENTS:
-        singles, cliques, joins = _QUOTIENTS[name]
-        c, count = [r(i, i + 1) for i in range(singles)], singles
+        singles, cliques, _ = _QUOTIENTS[name]
+        b = list(range(singles + 1))  # class i is the range b[i]..b[i + 1] - 1
         for t in params:
-            c.append(r(count, count + t))
-            count += t
-        pieces = (*[("clique", c[i], c[i]) for i in cliques], *[("join", c[i], c[j]) for i, j in joins])
+            b.append(b[-1] + t)
+        count, joins = b[-1], [("join", r(b[i], b[i + 1]), r(b[j], b[k])) for i, j, k in _JOIN_RUNS[name]]
+        pieces = (*[("clique", a, a) for a in [r(b[i], b[i + 1]) for i in cliques]], *joins)
     elif name == "path":
         count, pieces = n, (("zip", r(n - 1), (r(1, n),)),)
     elif name == "cycle":

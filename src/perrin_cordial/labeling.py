@@ -8,6 +8,12 @@ example indices 0 and 2, both 0) may appear together.
 An edge picks up label 0 when its endpoints have equal parity and 1
 otherwise; only the per-vertex parity pattern matters to the tally.
 
+realize's labeling holds that pattern, one byte per vertex, and the
+checks and writers read it.  Its assignment is made on first read and
+kept: a read-only mapping (_Indices) of one 4-byte index per vertex,
+filled a chunk at a time, never a dict.  PerrinLabeling(dict, n), as
+read_labeling builds it, keeps its dict.
+
 The degree-parity certificate proves infeasibility without search: a
 pattern with even-vertex set S has cut(S) odd edges, and cut(S) is
 congruent to the number of odd-degree vertices in S (mod 2).  So when every
@@ -20,6 +26,7 @@ exhaustive search.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -65,14 +72,80 @@ class EdgeTally:
 class PerrinLabeling:
     """Injective map vertex id -> sequence index, indices within 0..domain_max."""
 
-    assignment: dict[int, int]
+    assignment: Mapping[int, int]
     domain_max: int
     _odd = None  # realize's pattern, a byte per vertex (1 = odd), which builds assignment on first read
 
     def __getattr__(self, name: str):
         if name != "assignment" or self._odd is None:  # only realize's labeling lacks it
             raise AttributeError(f"'PerrinLabeling' object has no attribute {name!r}")
-        return self.__dict__.setdefault(name, _index_chunk(self._odd, 0, 0))
+        from array import array  # loaded on a first read: constructing and writing never need it
+
+        indices = array("i")
+        for chunk in _index_chunks(self, 4096):
+            indices.extend(chunk.values())
+        return self.__dict__.setdefault(name, _Indices(indices))
+
+
+class _Indices(Mapping):
+    """realize's assignment, read-only: vertex v's index is indices[v], 4 bytes a vertex
+    (an index is at most |V|, far below 2**31).
+
+    It reads as the dict {v: index} does: ==, repr, vertex order, KeyError and no hash.
+    A key is a vertex id only as an int, so 1.0, which the dict would take, is a KeyError.
+    dict(view) gives the dict, for json.dumps, copy(), | or reversed().
+    """
+
+    __slots__ = ("_indices",)
+
+    def __init__(self, indices):
+        self._indices = indices
+
+    def __getitem__(self, v):
+        if isinstance(v, int) and v >= 0:
+            try:
+                return self._indices[v]
+            except IndexError:
+                pass
+        raise KeyError(v)
+
+    def __iter__(self):
+        return iter(range(len(self._indices)))
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(other) == len(self) and all(other.get(v, -1) == i for v, i in enumerate(self._indices))
+
+    def __repr__(self) -> str:
+        return "{%s}" % ", ".join(f"{v}: {i}" for v, i in enumerate(self._indices))
+
+    def __reduce__(self):
+        return _Indices, (self._indices,)
+
+
+# the view's items and values, read straight from its array
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return enumerate(self._mapping._indices)
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._indices)
 
 
 def tally(g: Graph, pattern: ParityPattern) -> EdgeTally:

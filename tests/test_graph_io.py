@@ -134,6 +134,20 @@ def test_label_json_of_a_long_path_holds_no_assignment():
     assert size == len(write_labeling(PerrinLabeling(dict(f.assignment), f.domain_max)))
 
 
+def test_reading_a_long_paths_assignment_holds_4_bytes_a_vertex():
+    # path(200001): the first read keeps one 4-byte index per vertex, built a chunk at a time
+    f = construct(FamilySpec("path", (200_001,))).labeling
+    tracemalloc.start()
+    try:
+        assignment = f.assignment
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dict of the same entries would take about 20 MB
+    assert held < 2_000_000 and peak < 2_000_000, (held, peak)
+    assert vars(f)["assignment"] is assignment and len(assignment) == 200_001
+
+
 def test_graph_json_shape():
     g = generate(FamilySpec("path", (2,)))
     text = write_graph(g)

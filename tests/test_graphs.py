@@ -14,7 +14,7 @@ from perrin_cordial import (
     generate,
     read_graph,
 )
-from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES, _edge_stream, _pieces
+from perrin_cordial.graphs import _EDGES_MAX, _FAMILIES, _JOIN_RUNS, _edge_stream, _join_runs, _pieces
 
 SIZE_CASES = [
     # (family, params, vertices, edges)
@@ -333,6 +333,15 @@ def test_dense_families_list_edges_as_the_nested_loops_do():
         assert [e for piece in pieces for e in _expand(piece)] == edges, spec
         g = generate(spec)
         assert (g.vertex_count, list(g.edges)) == (count, edges), spec
+
+
+def test_join_runs_merge_a_single_vertexs_joins_to_consecutive_classes():
+    # a merged join lists its edges in product order, which is the pairs' order only when its
+    # first class is one vertex; a gap between classes ends a run
+    assert _join_runs(1, ((0, 1), (0, 2), (0, 4), (1, 2), (1, 3))) == ((0, 1, 3), (0, 4, 5), (1, 2, 3), (1, 3, 4))
+    assert _JOIN_RUNS["jellyfish"] == ((0, 1, 4), (1, 2, 4), (2, 4, 5), (3, 5, 6))
+    assert _JOIN_RUNS["bistar"] == ((0, 1, 3), (1, 3, 4))
+    assert [len(_pieces(FamilySpec(f, (7, 7)))[2]) for f in ("jellyfish", "bistar")] == [4, 2]
 
 
 # roles is a key the format no longer defines: the edge fault is what fails

@@ -1,13 +1,17 @@
 """Tallies, validity, parity patterns, and realization."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perrin_cordial import (
+    FAMILY_NAMES,
+    Constructed,
     EdgeTally,
     FamilySpec,
     InvalidLabelingError,
@@ -15,6 +19,7 @@ from perrin_cordial import (
     Parity,
     PatternLengthError,
     PerrinLabeling,
+    construct,
     even_indices,
     feasible_even_counts,
     generate,
@@ -25,9 +30,10 @@ from perrin_cordial import (
     tally,
     to_parity,
 )
-from perrin_cordial.labeling import _index_chunks, _ranked, _realize
+from perrin_cordial.labeling import _index_chunk, _index_chunks, _ranked, _realize
 from perrin_cordial.perrin import _EVEN_OFFSETS, _ODD_OFFSETS
 from strategies import graph_and_pattern, graph_and_valid_labeling
+from test_graphs import TRUSTED_GRID
 
 E, O = Parity.EVEN, Parity.ODD
 
@@ -221,3 +227,37 @@ def test_a_realized_labeling_agrees_with_its_assignment(gf):
         with pytest.raises(InvalidLabelingError):
             to_parity(swapped)
     assert dataclasses.replace(realize(g, pattern), domain_max=n + 1) == PerrinLabeling(plain.assignment, n + 1)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_a_constructed_assignment_reads_as_its_dict(family):
+    # a constructed labeling's assignment is a read-only view, 4 bytes a vertex,
+    # that reads as the dict realize's indices make
+    read = 0
+    for name, params in TRUSTED_GRID:
+        got = construct(FamilySpec(name, params)) if name == family else None
+        if not isinstance(got, Constructed):
+            continue
+        f = got.labeling
+        view, d = f.assignment, _index_chunk(f._odd, 0, 0)
+        assert view == d and d == view and not view != d and not d != view
+        assert repr(view) == repr(d) and repr(f) == repr(PerrinLabeling(d, f.domain_max))
+        assert list(view) == list(d) and len(view) == len(d) and list(view.items()) == list(d.items())
+        assert view.items() == d.items() and list(view.values()) == list(d.values())
+        assert all(v in view and view.get(v) == d[v] for v in d)
+        n = len(d)
+        for key in (-1, n, "0", 1.5):
+            with pytest.raises(KeyError):
+                view[key]
+            assert key not in view and view.get(key) is None
+        # a changed index, a missing vertex or an extra key tells them apart, from either side
+        for other in ({**d, 0: d[0] + 1}, {v: d[v] for v in range(n - 1)}, {**d, n: 0}):
+            assert view != other and other != view
+        for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), dataclasses.replace(f)):
+            assert copied == f and copied.assignment == d and d == copied.assignment
+        assert pickle.loads(pickle.dumps(view)) == d == copy.deepcopy(view)
+        for unhashable in (view, f):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+        read += 1
+    assert read
